@@ -13,10 +13,9 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 
-use crate::events::{Event, N_EVENTS};
-use crate::sample::SectionSample;
+use crate::events::Event;
 use crate::sampleset::SampleSet;
 
 /// Error produced while reading or writing sample CSV.
@@ -111,74 +110,56 @@ fn fmt_f64(v: f64) -> String {
 /// Reads a sample set from `r` expecting the schema produced by
 /// [`write_csv`]. A `mut` reference is a valid `R`.
 ///
+/// The whole input is read, then decoded by [`crate::scan_csv`] at the
+/// process-wide [`mtperf_linalg::parallel::global`] thread budget.
+///
 /// # Errors
 ///
-/// Returns [`CsvError::BadHeader`] when the header deviates from the schema
-/// and [`CsvError::BadRow`] for malformed data rows.
-pub fn read_csv<R: Read>(r: R) -> Result<SampleSet, CsvError> {
-    let mut lines = BufReader::new(r).lines();
-    let head = match lines.next() {
-        Some(h) => h?,
-        None => {
-            return Err(CsvError::BadHeader {
-                found: String::new(),
-            })
-        }
-    };
-    if head != header() {
-        return Err(CsvError::BadHeader { found: head });
+/// Returns [`CsvError::Io`] on read failure, [`CsvError::BadHeader`] when
+/// the header deviates from the schema and [`CsvError::BadRow`] for
+/// malformed data rows (including bytes that are not UTF-8).
+pub fn read_csv<R: Read>(mut r: R) -> Result<SampleSet, CsvError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    Ok(crate::scan_csv(&bytes, mtperf_linalg::parallel::global())?.to_sample_set())
+}
+
+/// Drops a line's `\n` terminator and one `\r` before it, as
+/// `BufRead::lines` does; a line without `\n` (the last) keeps any `\r`.
+pub(crate) fn strip_eol(line: &[u8]) -> &[u8] {
+    match line.strip_suffix(b"\n") {
+        Some(text) => text.strip_suffix(b"\r").unwrap_or(text),
+        None => line,
     }
-    let mut set = SampleSet::new();
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        let lineno = i + 2;
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 3 + N_EVENTS {
-            return Err(CsvError::BadRow {
-                line: lineno,
-                reason: format!("expected {} fields, found {}", 3 + N_EVENTS, fields.len()),
-            });
-        }
-        let section_index: usize = fields[1].parse().map_err(|e| CsvError::BadRow {
-            line: lineno,
-            reason: format!("bad section index {:?}: {e}", fields[1]),
-        })?;
-        let cpi: f64 = fields[2].parse().map_err(|e| CsvError::BadRow {
-            line: lineno,
-            reason: format!("bad CPI {:?}: {e}", fields[2]),
-        })?;
-        // `str::parse::<f64>` accepts "NaN" and "inf"; such values would
-        // only blow up later, deep inside training, so reject them here.
-        if !cpi.is_finite() {
-            return Err(CsvError::BadRow {
-                line: lineno,
-                reason: format!("non-finite CPI {:?}", fields[2]),
-            });
-        }
-        let mut rates = [0.0f64; N_EVENTS];
-        for (j, f) in fields[3..].iter().enumerate() {
-            rates[j] = f.parse().map_err(|e| CsvError::BadRow {
-                line: lineno,
-                reason: format!("bad rate {f:?}: {e}"),
-            })?;
-            if !rates[j].is_finite() {
-                return Err(CsvError::BadRow {
-                    line: lineno,
-                    reason: format!("non-finite rate {f:?}"),
-                });
-            }
-        }
-        set.push(SectionSample::new(fields[0], section_index, cpi, rates));
+}
+
+/// Checks a header line (terminator already stripped) against the schema.
+pub(crate) fn check_header(line: &[u8]) -> Result<(), CsvError> {
+    if line == header().as_bytes() {
+        Ok(())
+    } else {
+        Err(CsvError::BadHeader {
+            found: String::from_utf8_lossy(line).into_owned(),
+        })
     }
-    Ok(set)
+}
+
+/// Checks the header line of `bytes` and returns the body after it.
+pub(crate) fn split_header(bytes: &[u8]) -> Result<&[u8], CsvError> {
+    let end = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |at| at + 1);
+    let (head, body) = bytes.split_at(end);
+    check_header(strip_eol(head))?;
+    Ok(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::N_EVENTS;
+    use crate::sample::SectionSample;
 
     fn set() -> SampleSet {
         let mut rates = [0.0; N_EVENTS];

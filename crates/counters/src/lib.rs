@@ -15,6 +15,8 @@
 //!   reduced to per-instruction event rates plus its CPI;
 //! * [`SectionSample`] / [`SampleSet`] — the resulting dataset rows, with
 //!   summary statistics and CSV import/export;
+//! * [`scan_csv`] — the strict CSV decoder, straight from the file's bytes
+//!   into a row-major rate [`CounterTable`], chunked over the worker pool;
 //! * [`quality`] — fault-tolerant ingestion: [`IngestPolicy`]
 //!   (strict / skip / repair), quarantine with per-row diagnostics, median
 //!   imputation and winsorization, all accounted for in an
@@ -53,6 +55,7 @@ pub mod faultinject;
 pub mod quality;
 mod sample;
 mod sampleset;
+mod scan;
 
 pub use arff::write_arff;
 pub use bank::{CounterBank, Sectioner};
@@ -61,3 +64,4 @@ pub use events::{Event, EventParseError, N_EVENTS};
 pub use quality::{read_csv_with_policy, IngestPolicy, IngestReport};
 pub use sample::SectionSample;
 pub use sampleset::{EventSummary, SampleSet};
+pub use scan::{scan_csv, scan_csv_chunked, CounterTable};

@@ -42,7 +42,7 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Read};
 use std::str::FromStr;
 
-use crate::csv::{header, CsvError};
+use crate::csv::{check_header, strip_eol, CsvError};
 use crate::events::{Event, N_EVENTS};
 use crate::sample::SectionSample;
 use crate::sampleset::SampleSet;
@@ -154,6 +154,11 @@ pub enum RowIssue {
         /// Explanation of the failure.
         detail: String,
     },
+    /// The row's bytes are not UTF-8.
+    InvalidUtf8 {
+        /// 1-based byte column of the first invalid byte.
+        column: usize,
+    },
 }
 
 impl fmt::Display for RowIssue {
@@ -177,6 +182,9 @@ impl fmt::Display for RowIssue {
             }
             RowIssue::UnrepairableTarget { detail } => {
                 write!(f, "unrepairable CPI target: {detail}")
+            }
+            RowIssue::InvalidUtf8 { column } => {
+                write!(f, "invalid UTF-8 at byte column {column}")
             }
         }
     }
@@ -401,13 +409,9 @@ pub fn read_csv_with_policy<R: Read>(
     r: R,
     policy: IngestPolicy,
 ) -> Result<(SampleSet, IngestReport), CsvError> {
-    let mut ingest_span = mtperf_obs::span("ingest");
-    ingest_span.annotate("policy", &policy.to_string());
     if policy == IngestPolicy::Strict {
         let set = crate::csv::read_csv(r)?;
         let n = set.len();
-        ingest_span.add("rows_read", n as u64);
-        ingest_span.add("rows_kept", n as u64);
         return Ok((
             set,
             IngestReport {
@@ -419,19 +423,13 @@ pub fn read_csv_with_policy<R: Read>(
             },
         ));
     }
+    let mut ingest_span = mtperf_obs::span("ingest");
+    ingest_span.annotate("policy", &policy.to_string());
 
-    let mut lines = BufReader::new(r).lines();
-    let head = match lines.next() {
-        Some(h) => h?,
-        None => {
-            return Err(CsvError::BadHeader {
-                found: String::new(),
-            })
-        }
-    };
-    if head != header() {
-        return Err(CsvError::BadHeader { found: head });
-    }
+    let mut r = BufReader::new(r);
+    let mut buf = Vec::new();
+    r.read_until(b'\n', &mut buf)?;
+    check_header(strip_eol(&buf))?;
 
     let expected = 3 + N_EVENTS;
     let mut rows_read = 0usize;
@@ -439,13 +437,28 @@ pub fn read_csv_with_policy<R: Read>(
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut seen_keys: HashSet<(String, usize)> = HashSet::new();
 
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        let lineno = i + 2;
-        if line.is_empty() {
+    for lineno in 2.. {
+        buf.clear();
+        if r.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        let raw = strip_eol(&buf);
+        if raw.is_empty() {
             continue;
         }
         rows_read += 1;
+        let line = match std::str::from_utf8(raw) {
+            Ok(line) => line,
+            Err(e) => {
+                quarantined.push(QuarantinedRow {
+                    line: lineno,
+                    issue: RowIssue::InvalidUtf8 {
+                        column: e.valid_up_to() + 1,
+                    },
+                });
+                continue;
+            }
+        };
         let fields: Vec<&str> = line.split(',').collect();
         let found = fields.len();
 
@@ -908,5 +921,35 @@ mod tests {
             report.quarantined[1].issue,
             RowIssue::BadKey { .. }
         ));
+    }
+
+    #[test]
+    fn invalid_utf8_rows_are_quarantined_under_skip_and_repair() {
+        let set = clean_set();
+        let mut bytes = csv_of(&set).into_bytes();
+        bytes.extend_from_slice(b"w\xff,100,1.5");
+        bytes.extend_from_slice(",0.1".repeat(N_EVENTS).as_bytes());
+        bytes.extend_from_slice(b"\r\n");
+        let clean_rows = set.len();
+        for policy in [IngestPolicy::Skip, IngestPolicy::Repair] {
+            let (kept, report) = read_csv_with_policy(&bytes[..], policy).unwrap();
+            assert_eq!(kept, set, "{policy}");
+            assert_eq!(report.rows_read, clean_rows + 1);
+            assert_eq!(
+                report.quarantined,
+                vec![QuarantinedRow {
+                    line: clean_rows + 2,
+                    issue: RowIssue::InvalidUtf8 { column: 2 },
+                }]
+            );
+        }
+        let err = read_csv_with_policy(&bytes[..], IngestPolicy::Strict).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "bad csv row at line {}: invalid UTF-8 at byte column 2",
+                clean_rows + 2
+            )
+        );
     }
 }

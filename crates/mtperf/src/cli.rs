@@ -8,12 +8,12 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::path::Path;
 
-use mtperf_counters::{IngestPolicy, SampleSet};
+use mtperf_counters::{CounterTable, IngestPolicy, SampleSet};
 use mtperf_eval::{breakdown_table, comparison_table, cross_validate, per_label_metrics, Metrics};
 use mtperf_linalg::parallel::{self, Parallelism};
 use mtperf_mtree::{
-    analysis, residual_dataset, Dataset, Learner, M5Learner, M5Params, ModelTree, ResidualLearner,
-    RuleSet,
+    analysis, residual_dataset, Dataset, Learner, M5Learner, M5Params, ModelTree, MtreeError,
+    ResidualLearner, RuleSet,
 };
 use mtperf_sim::MachineConfig;
 use serde::Serialize;
@@ -283,12 +283,28 @@ fn ingest_policy(args: &Args) -> Result<IngestPolicy, CliError> {
 /// ones surface as a typed I/O error (exit 74), and the whole path is
 /// drivable from the deterministic-simulation fs-fault seam.
 fn load_samples(path: &str, policy: IngestPolicy) -> Result<SampleSet, CliError> {
-    let bytes = mtperf_obs::fsio::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    let (samples, report) = mtperf_counters::read_csv_with_policy(&bytes[..], policy)?;
-    if policy != IngestPolicy::Strict {
-        eprintln!("{report}");
+    if policy == IngestPolicy::Strict {
+        return Ok(scan_data(path)?.to_sample_set());
     }
+    let bytes = read_data(path)?;
+    let (samples, report) = mtperf_counters::read_csv_with_policy(&bytes[..], policy)?;
+    eprintln!("{report}");
     Ok(samples)
+}
+
+/// Reads a data file whole through [`mtperf_obs::fsio::read`].
+fn read_data(path: &str) -> Result<Vec<u8>, CliError> {
+    mtperf_obs::fsio::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))
+}
+
+/// Reads and strictly decodes a data file. The file buffer is freed when
+/// the decode returns, so it is never alive beside a second copy of the
+/// data.
+fn scan_data(path: &str) -> Result<CounterTable, CliError> {
+    Ok(mtperf_counters::scan_csv(
+        &read_data(path)?,
+        parallel::global(),
+    )?)
 }
 
 /// Parses `--features counters|analytic`; `true` means the analytic columns
@@ -547,26 +563,39 @@ pub fn cmd_analyze(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
     Ok(())
 }
 
-/// One emitted prediction row of `mtperf predict`.
-#[derive(Serialize)]
-struct Prediction {
-    workload: String,
-    section_index: usize,
-    cpi: f64,
-    predicted_cpi: f64,
-}
-
 /// `mtperf predict`: batch CPI prediction over a counter CSV.
 ///
-/// Loads the model, streams the CSV through the ingest policy, scores every
-/// section through the compiled tree ([`ModelTree::compile`]) at the global
-/// thread budget, and emits one record per section (measured and predicted
-/// CPI) as CSV (default) or JSON, to `--out` or stdout.
+/// Loads the model, decodes the CSV, scores every section through the
+/// compiled tree ([`ModelTree::compile`]) at the global thread budget,
+/// and emits one record per section (measured and predicted CPI) as CSV
+/// (default) or JSON, to `--out` or stdout.
+///
+/// Under the strict policy with plain counter features the CSV is decoded
+/// straight into the scoring matrix ([`mtperf_counters::scan_csv`]); the
+/// skip/repair policies and `--features analytic` go through the sample
+/// set and [`Dataset`]. Both routes print the same bytes.
 pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let tree = ModelTree::load(args.require("model")?)?;
-    let samples = load_samples(args.require("data")?, ingest_policy(args)?)?;
-    let (data, _, analytic) = to_dataset_mode(&samples, args)?;
-    let residual = residual_baseline(args, &data, analytic)?;
+    let data_path = args.require("data")?;
+    let policy = ingest_policy(args)?;
+    // `--residual` and unparsable `--features` values take the sample-set
+    // route too, which rejects them after ingest, as it always has.
+    let direct = policy == IngestPolicy::Strict
+        && !args.flag("residual")
+        && matches!(analytic_features(args), Ok(false));
+    let (table, features, residual) = if direct {
+        let table = scan_data(data_path)?;
+        if table.is_empty() {
+            return Err(MtreeError::EmptyDataset.into());
+        }
+        (table, None, None)
+    } else {
+        let samples = load_samples(data_path, policy)?;
+        let (data, _, analytic) = to_dataset_mode(&samples, args)?;
+        let residual = residual_baseline(args, &data, analytic)?;
+        let features = analytic.then(|| data.to_matrix());
+        (CounterTable::from_samples(&samples), features, residual)
+    };
     let format = args
         .options
         .get("format")
@@ -576,10 +605,10 @@ pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
     // latency-sensitive command, and lazy pool start-up plus overhead
     // calibration would otherwise land inside the first prediction.
     parallel::warm_up();
-    let matrix = data.to_matrix();
+    let matrix = features.as_ref().unwrap_or(table.rates());
     let mut predicted = tree
         .compile()
-        .try_predict_batch_with(&matrix, parallel::global())?;
+        .try_predict_batch_with(matrix, parallel::global())?;
     if let Some(baseline) = residual {
         // Residual reconstruction: one `+` per row in row order, the same
         // operation ResidualPredictor appends on both its paths, so the
@@ -588,32 +617,15 @@ pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
             *p += matrix.row(r)[baseline];
         }
     }
-    let records: Vec<Prediction> = samples
-        .iter()
-        .zip(&predicted)
-        .map(|(s, &p)| Prediction {
-            workload: s.workload.clone(),
-            section_index: s.section_index,
-            cpi: s.cpi,
-            predicted_cpi: p,
-        })
-        .collect();
+    let render_span = mtperf_obs::span("render");
     let rendered = match format {
-        "csv" => {
-            let mut text = String::from("workload,section_index,cpi,predicted_cpi\n");
-            for r in &records {
-                use std::fmt::Write as _;
-                let _ = writeln!(
-                    text,
-                    "{},{},{},{}",
-                    r.workload, r.section_index, r.cpi, r.predicted_cpi
-                );
-            }
-            text
-        }
+        "csv" => render_predictions_csv(&table, &predicted)?,
         "json" => {
-            let mut text = serde_json::to_string_pretty(&records)
-                .map_err(|e| CliError::Other(e.to_string()))?;
+            let mut text = serde_json::to_string_pretty(&PredictionsJson {
+                table: &table,
+                predicted: &predicted,
+            })
+            .map_err(|e| CliError::Other(e.to_string()))?;
             text.push('\n');
             text
         }
@@ -623,17 +635,88 @@ pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
             )))
         }
     };
+    drop(render_span);
+    let mut write_span = mtperf_obs::span("write");
+    write_span.add("bytes", rendered.len() as u64);
     match args.options.get("out") {
         Some(path) => {
             // Atomic publication: a crash mid-write leaves either the old
             // file or nothing at the destination, never a torn report.
             mtperf_obs::fsio::atomic_write(path, rendered.as_bytes())
                 .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-            println!("{} predictions -> {path}", records.len());
+            println!("{} predictions -> {path}", table.len());
         }
-        None => write!(out, "{rendered}")?,
+        None => out.write_all(rendered.as_bytes())?,
     }
     Ok(())
+}
+
+/// `predict`'s CSV payload, rendered from the decoded columns: blocks of
+/// rows in parallel, then joined into one buffer of the exact size.
+fn render_predictions_csv(table: &CounterTable, predicted: &[f64]) -> Result<String, CliError> {
+    use std::fmt::Write as _;
+    const HEADER: &str = "workload,section_index,cpi,predicted_cpi\n";
+    const BLOCK: usize = 8192;
+    let blocks: Vec<(usize, &[f64])> = predicted
+        .chunks(BLOCK)
+        .enumerate()
+        .map(|(i, block)| (i * BLOCK, block))
+        .collect();
+    // One block stays on this thread without resolving the thread count.
+    let par = match blocks.len() {
+        0 | 1 => Parallelism::Off,
+        _ => parallel::global(),
+    };
+    let blocks = parallel::try_par_map(par, &blocks, 2, |&(start, block)| {
+        // A workload name, a section index, two shortest-form floats and
+        // the separators rarely take more than 80 bytes.
+        let mut text = String::with_capacity(80 * block.len());
+        for (r, p) in (start..).zip(block) {
+            let _ = writeln!(
+                text,
+                "{},{},{},{p}",
+                table.workload(r),
+                table.sections()[r],
+                table.cpi()[r]
+            );
+        }
+        text
+    })
+    .map_err(|e| CliError::Other(e.to_string()))?;
+    let mut text =
+        String::with_capacity(HEADER.len() + blocks.iter().map(String::len).sum::<usize>());
+    text.push_str(HEADER);
+    for block in &blocks {
+        text.push_str(block);
+    }
+    Ok(text)
+}
+
+/// `predict`'s JSON payload: an array of `{workload, section_index, cpi,
+/// predicted_cpi}` records, built from the decoded columns.
+struct PredictionsJson<'a> {
+    table: &'a CounterTable,
+    predicted: &'a [f64],
+}
+
+impl Serialize for PredictionsJson<'_> {
+    fn serialize(&self) -> serde::Value {
+        let t = self.table;
+        serde::Value::Array(
+            self.predicted
+                .iter()
+                .enumerate()
+                .map(|(r, p)| {
+                    serde::Value::Object(vec![
+                        ("workload".to_string(), t.workload(r).serialize()),
+                        ("section_index".to_string(), t.sections()[r].serialize()),
+                        ("cpi".to_string(), t.cpi()[r].serialize()),
+                        ("predicted_cpi".to_string(), p.serialize()),
+                    ])
+                })
+                .collect(),
+        )
+    }
 }
 
 /// `mtperf sweep`: design-space exploration through a trained model.

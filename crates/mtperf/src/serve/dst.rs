@@ -1238,6 +1238,10 @@ mod tests {
             seed: 3,
             sessions: 4,
         });
+        // Tests run in parallel and every other sim installs its own
+        // virtual clock while it holds the sim lock: hold it too, so the
+        // check sees the seams this sim left behind.
+        let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Real time flows again.
         let t0 = clock::now();
         std::thread::sleep(Duration::from_millis(2));

@@ -270,6 +270,113 @@ fn tracing_leaves_predictions_bit_identical_and_streams_events() {
 }
 
 #[test]
+fn predict_traces_each_stage_and_out_bytes_match_untraced() {
+    let fx = Fixture::new("predict-stages");
+    let trace_path = fx.dir.join("stages.jsonl").display().to_string();
+    let plain_out = fx.dir.join("plain.csv").display().to_string();
+    let traced_out = fx.dir.join("traced.csv").display().to_string();
+
+    let plain = run(&[
+        "predict", "--model", &fx.model, "--data", &fx.csv, "--out", &plain_out,
+    ]);
+    assert!(plain.status.success(), "{}", stderr(&plain));
+    let traced = run(&[
+        "predict",
+        "--model",
+        &fx.model,
+        "--data",
+        &fx.csv,
+        "--out",
+        &traced_out,
+        "--trace-out",
+        &trace_path,
+    ]);
+    assert!(traced.status.success(), "{}", stderr(&traced));
+    let (a, b) = (
+        std::fs::read(&plain_out).expect("plain out"),
+        std::fs::read(&traced_out).expect("traced out"),
+    );
+    assert!(!a.is_empty());
+    assert_eq!(a, b, "tracing changed the --out bytes");
+
+    // One top-level span per stage, in pipeline order.
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file");
+    let start_of = |stage: &str| -> u64 {
+        let line = trace
+            .lines()
+            .find(|l| l.contains(&format!("\"path\":\"{stage}\"")))
+            .unwrap_or_else(|| panic!("trace missing the {stage} span"));
+        let at = line.find("\"start_us\":").expect("start_us") + 11;
+        line[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .and_then(|n| n.parse().ok())
+            .expect("numeric start_us")
+    };
+    let starts: Vec<u64> = ["ingest", "predict_batch", "render", "write"]
+        .iter()
+        .map(|s| start_of(s))
+        .collect();
+    assert!(starts.windows(2).all(|w| w[0] <= w[1]), "{starts:?}");
+    let ingest = trace
+        .lines()
+        .find(|l| l.contains("\"path\":\"ingest\""))
+        .expect("ingest span");
+    for counter in ["\"rows_read\":", "\"bytes\":", "\"chunks\":1"] {
+        assert!(
+            ingest.contains(counter),
+            "ingest span lacks {counter}: {ingest}"
+        );
+    }
+}
+
+#[test]
+fn invalid_utf8_rows_are_data_errors_with_a_line_number() {
+    let fx = Fixture::new("utf8");
+    let bad = fx.dir.join("utf8.csv");
+    let mut bytes = std::fs::read(&fx.csv).expect("read csv");
+    let fields = bytes
+        .split(|&b| b == b'\n')
+        .next()
+        .expect("header")
+        .split(|&b| b == b',')
+        .count();
+    let line = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
+    bytes.extend_from_slice(b"w\xff,999,1.5");
+    bytes.extend_from_slice(",0.1".repeat(fields - 3).as_bytes());
+    bytes.push(b'\n');
+    std::fs::write(&bad, &bytes).expect("write csv");
+    let bad = bad.display().to_string();
+
+    // Strict: EX_DATAERR naming the line, as for any other bad row (this
+    // was an i/o error, exit 74, before the byte decoder).
+    let strict = run(&["predict", "--model", &fx.model, "--data", &bad]);
+    assert_eq!(strict.status.code(), Some(65), "{}", stderr(&strict));
+    assert!(
+        stderr(&strict).contains(&format!(
+            "bad csv row at line {line}: invalid UTF-8 at byte column 2"
+        )),
+        "{}",
+        stderr(&strict)
+    );
+    assert!(stdout(&strict).is_empty());
+    let never = fx.dir.join("never.json").display().to_string();
+    let train = run(&["train", "--data", &bad, "--out", &never]);
+    assert_eq!(train.status.code(), Some(65), "{}", stderr(&train));
+
+    // Skip and repair quarantine the row and score the rest.
+    for policy in ["skip", "repair"] {
+        let out = run(&[
+            "predict", "--model", &fx.model, "--data", &bad, "--policy", policy,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{policy}: {}", stderr(&out));
+        assert!(stderr(&out).contains("1 quarantined"), "{}", stderr(&out));
+        let rows = parse_predict_csv(&stdout(&out));
+        assert_eq!(rows.len(), line - 2, "{policy}");
+    }
+}
+
+#[test]
 fn tracing_leaves_evaluation_metrics_bit_identical() {
     let fx = Fixture::new("eval-identity");
     let trace_path = fx.dir.join("eval-trace.jsonl").display().to_string();
