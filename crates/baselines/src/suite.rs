@@ -47,7 +47,7 @@ pub fn train_suite(
 ) -> Result<Vec<(String, Box<dyn Predictor>)>, MtreeError> {
     let mut suite_span = mtperf_obs::span("baseline_suite");
     suite_span.add("learners", learners.len() as u64);
-    try_par_map(par, learners, 1, |learner| {
+    try_par_map(par, learners, |learner| {
         let mut fit_span = mtperf_obs::span("baseline_fit");
         fit_span.annotate("learner", learner.name());
         learner

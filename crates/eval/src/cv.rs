@@ -127,59 +127,54 @@ pub fn cross_validate_with(
     cv_span.annotate_num("rows", n as f64);
     let order = shuffled_indices(n, seed);
     let fold_ids: Vec<usize> = (0..k).collect();
-    let outcomes = try_par_map(
-        par,
-        &fold_ids,
-        1,
-        |&fold| -> Result<FoldOutcome, MtreeError> {
-            let mut fold_span = mtperf_obs::span_idx("fold", fold);
-            // Fold f takes every k-th element: near-equal sizes, one pass.
-            let test_idx: Vec<usize> = order.iter().copied().skip(fold).step_by(k).collect();
-            let train_idx: Vec<usize> = order
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|(pos, _)| pos % k != fold)
-                .map(|(_, i)| i)
-                .collect();
-            fold_span.add("train_rows", train_idx.len() as u64);
-            fold_span.add("test_rows", test_idx.len() as u64);
-            let train = data.subset(&train_idx);
-            // A fold whose training subset is degenerate is recorded and
-            // skipped; any other learner failure still aborts the run.
-            let model = match learner.fit(&train) {
-                Ok(m) => m,
-                Err(MtreeError::DegenerateData(msg)) => {
-                    fold_span.annotate("skipped", &msg);
-                    return Ok(FoldOutcome::Skipped(SkippedFold {
-                        fold,
-                        reason: format!("degenerate training data: {msg}"),
-                    }));
-                }
-                Err(e) => return Err(e),
-            };
-            let actual: Vec<f64> = test_idx.iter().map(|&i| data.target(i)).collect();
-            // Batch scoring through the compiled path (bit-identical to the
-            // per-row walk); nested parallel calls self-serialize, so fold
-            // results stay deterministic.
-            let predicted = model.predict_batch(&data.matrix_of(&test_idx));
-            // An unscorable evaluation set (e.g. empty after quarantine) is
-            // likewise a skip, not an abort.
-            match Metrics::compute(&actual, &predicted) {
-                Ok(metrics) => Ok(FoldOutcome::Scored(FoldResult {
+    let outcomes = try_par_map(par, &fold_ids, |&fold| -> Result<FoldOutcome, MtreeError> {
+        let mut fold_span = mtperf_obs::span_idx("fold", fold);
+        // Fold f takes every k-th element: near-equal sizes, one pass.
+        let test_idx: Vec<usize> = order.iter().copied().skip(fold).step_by(k).collect();
+        let train_idx: Vec<usize> = order
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(pos, _)| pos % k != fold)
+            .map(|(_, i)| i)
+            .collect();
+        fold_span.add("train_rows", train_idx.len() as u64);
+        fold_span.add("test_rows", test_idx.len() as u64);
+        let train = data.subset(&train_idx);
+        // A fold whose training subset is degenerate is recorded and
+        // skipped; any other learner failure still aborts the run.
+        let model = match learner.fit(&train) {
+            Ok(m) => m,
+            Err(MtreeError::DegenerateData(msg)) => {
+                fold_span.annotate("skipped", &msg);
+                return Ok(FoldOutcome::Skipped(SkippedFold {
                     fold,
-                    metrics,
-                    actual,
-                    predicted,
-                })),
-                Err(e) => {
-                    let reason = e.to_string();
-                    fold_span.annotate("skipped", &reason);
-                    Ok(FoldOutcome::Skipped(SkippedFold { fold, reason }))
-                }
+                    reason: format!("degenerate training data: {msg}"),
+                }));
             }
-        },
-    )
+            Err(e) => return Err(e),
+        };
+        let actual: Vec<f64> = test_idx.iter().map(|&i| data.target(i)).collect();
+        // Batch scoring through the compiled path (bit-identical to the
+        // per-row walk); nested parallel calls self-serialize, so fold
+        // results stay deterministic.
+        let predicted = model.predict_batch(&data.matrix_of(&test_idx));
+        // An unscorable evaluation set (e.g. empty after quarantine) is
+        // likewise a skip, not an abort.
+        match Metrics::compute(&actual, &predicted) {
+            Ok(metrics) => Ok(FoldOutcome::Scored(FoldResult {
+                fold,
+                metrics,
+                actual,
+                predicted,
+            })),
+            Err(e) => {
+                let reason = e.to_string();
+                fold_span.annotate("skipped", &reason);
+                Ok(FoldOutcome::Skipped(SkippedFold { fold, reason }))
+            }
+        }
+    })
     .map_err(MtreeError::from)?;
     let mut folds = Vec::with_capacity(k);
     let mut skipped = Vec::new();

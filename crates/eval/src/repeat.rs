@@ -85,7 +85,7 @@ pub fn repeated_cv_with(
         return Err(MtreeError::BadParams("repeats must be >= 1".into()));
     }
     let seeds: Vec<u64> = (0..repeats).map(|r| seed + r as u64).collect();
-    let runs = try_par_map(par, &seeds, 1, |&s| {
+    let runs = try_par_map(par, &seeds, |&s| {
         let mut repeat_span = mtperf_obs::span_idx("repeat", (s - seed) as usize);
         let run =
             cross_validate_with(learner, data, k, s, par).map(|cv| (cv.pooled, cv.skipped.len()));

@@ -26,12 +26,14 @@ pub enum LinalgError {
     },
     /// An operation that requires a non-empty matrix was given an empty one.
     Empty,
-    /// A worker closure passed to [`crate::parallel::try_par_map`] panicked.
+    /// A worker closure of a parallel section
+    /// ([`crate::parallel::try_par_fill`] or its map adapters) panicked.
     ///
     /// The panic was caught and isolated: sibling workers finished (or were
     /// abandoned) cleanly and the process keeps running.
     WorkerPanic {
-        /// Input-order index of the first item whose closure panicked.
+        /// Index of the first item (block, for `try_par_fill`) whose closure
+        /// panicked.
         index: usize,
         /// The panic payload rendered as text (`"..."` for non-string
         /// payloads).

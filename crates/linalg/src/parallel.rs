@@ -2,23 +2,30 @@
 //!
 //! The workspace deliberately has no external dependencies (the registry is
 //! not reachable from every build environment), so this module builds its
-//! map-reduce helpers directly on the lazily-started pool in
+//! parallel sections directly on the lazily-started pool in
 //! [`crate::pool`]. Earlier revisions spawned scoped threads per call;
 //! the pool keeps workers alive across calls, which is what lets a 90 µs
 //! batch-prediction dispatch actually profit from parallelism instead of
 //! drowning in thread spawn/join overhead (see `pool.rs` for the history
 //! and the soundness argument).
 //!
+//! # One engine
+//!
+//! Every section runs through [`try_par_fill`]: cut the output into
+//! blocks, hand contiguous runs of blocks to the pool, catch panics per
+//! block, and reduce the outcomes. [`par_map`] and [`try_par_map`] are
+//! adapters that fill a pre-sized output one item per block.
+//!
 //! # Determinism contract
 //!
-//! [`par_map`] computes `f` on each item independently and returns results in
-//! **input order**, regardless of thread count or scheduling. Work is split
-//! into *statically chosen contiguous chunks* and reduced chunk-by-chunk in
-//! chunk order, so the reduction never depends on which worker finished
-//! first. Callers that keep their per-item computation free of shared
-//! mutable state therefore get bit-identical results at any [`Parallelism`]
-//! setting — the property the split search, cross validation, compiled
-//! batch prediction, and baseline suite rely on.
+//! Work is split into *statically chosen contiguous chunks* and every
+//! block writes its own positional slice of the output, so results never
+//! depend on which worker finished first: [`par_map`] returns results in
+//! **input order** regardless of thread count or scheduling. Callers that
+//! keep their per-item computation free of shared mutable state therefore
+//! get bit-identical results at any [`Parallelism`] setting — the property
+//! the split search, cross validation, compiled batch prediction, and
+//! baseline suite rely on.
 //!
 //! # Panic isolation
 //!
@@ -34,7 +41,7 @@
 //! ```
 //! use mtperf_linalg::parallel::{par_map, Parallelism};
 //!
-//! let squares = par_map(Parallelism::Auto, &[1, 2, 3, 4], 1, |&x| x * x);
+//! let squares = par_map(Parallelism::Auto, &[1, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -229,8 +236,8 @@ pub fn global() -> Parallelism {
 }
 
 thread_local! {
-    /// True inside a `par_map` worker: nested calls run serially instead of
-    /// oversubscribing the machine.
+    /// True inside a parallel section's worker: nested calls run serially
+    /// instead of oversubscribing the machine.
     static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -270,153 +277,39 @@ impl FirstPanic {
 }
 
 /// Why a parallel section stopped early: a worker panicked, or the caller's
-/// cancellation token fired between items.
+/// cancellation token fired between blocks.
 enum ParFailure {
     Panic(FirstPanic),
     Cancelled,
 }
 
-/// Shared engine behind [`par_map`], [`try_par_map`], and
-/// [`try_par_map_cancel`]: every closure call runs under [`catch_unwind`],
-/// so a panicking worker never tears down its thread — the chunk stops,
-/// siblings finish, and the lowest-index panic is reported to the caller as
-/// a value. A cancellation token, when given, is consulted before each item.
-fn par_map_core<T, R, F>(
-    par: Parallelism,
-    items: &[T],
-    min_chunk: usize,
-    cancel: Option<&CancelToken>,
-    f: F,
-) -> Result<Vec<R>, ParFailure>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    // `min_chunk` caps the fan-out: at most `n / min_chunk` chunks so no
-    // chunk falls below `min_chunk` items. Zero is the documented
-    // "one chunk per thread" case — no lower bound on chunk size beyond a
-    // single item, so up to `min(threads, n)` chunks. (An earlier revision
-    // had a dead `min_chunk.max(1)` in the divisor that disagreed with the
-    // zero branch; `min_chunk_zero_means_one_chunk_per_thread` pins the
-    // intended semantics.)
-    let max_chunks = n.checked_div(min_chunk).unwrap_or(n);
-    let threads = par.threads().min(max_chunks.max(1));
-
-    // Runs one contiguous chunk, catching the first panic. `offset` is the
-    // chunk's position in `items`, so panic indices are input-order global.
-    let run_chunk = |chunk: &[T], offset: usize| -> Result<Vec<R>, ParFailure> {
-        let mut out = Vec::with_capacity(chunk.len());
-        for (i, item) in chunk.iter().enumerate() {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(ParFailure::Cancelled);
-            }
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    return Err(ParFailure::Panic(FirstPanic {
-                        index: offset + i,
-                        payload,
-                    }))
-                }
-            }
+impl ParFailure {
+    fn into_error(self) -> LinalgError {
+        match self {
+            ParFailure::Panic(p) => LinalgError::WorkerPanic {
+                index: p.index,
+                message: p.message(),
+            },
+            ParFailure::Cancelled => LinalgError::Cancelled,
         }
-        Ok(out)
-    };
-
-    if threads <= 1 || n <= 1 || IN_PARALLEL.with(Cell::get) {
-        return run_chunk(items, 0);
-    }
-
-    // Contiguous near-equal chunks; the first `rem` chunks get one extra.
-    let base = n / threads;
-    let rem = n % threads;
-    let mut chunks: Vec<(&[T], usize)> = Vec::with_capacity(threads);
-    let mut start = 0;
-    for t in 0..threads {
-        let len = base + usize::from(t < rem);
-        chunks.push((&items[start..start + len], start));
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-
-    // Capture the caller's span context (if tracing is on) so spans opened
-    // inside worker closures nest under the span that dispatched the
-    // section. `None` when tracing is disabled: workers then run the
-    // closure directly. Re-installing the same frame on the calling thread
-    // (chunk 0) is harmless — span ids hash the logical call path, so the
-    // extra frame changes nothing.
-    let obs_ctx = mtperf_obs::current_context();
-
-    // One result slot per chunk; each chunk writes only its own, so the
-    // locks are uncontended. A `None` after the dispatch means the chunk's
-    // worker died outside the per-item guard (e.g. allocation failure) —
-    // reported as a panic on the chunk's first item.
-    type ChunkSlot<R> = Mutex<Option<Result<Vec<R>, ParFailure>>>;
-    let slots: Vec<ChunkSlot<R>> = (0..threads).map(|_| Mutex::new(None)).collect();
-    pool::run_chunked(threads, &|c: usize| {
-        let (chunk, offset) = chunks[c];
-        let out = mtperf_obs::in_context(obs_ctx.as_ref(), || {
-            with_parallel_flag(|| run_chunk(chunk, offset))
-        });
-        *lock(&slots[c]) = Some(out);
-    });
-
-    // Deterministic reduction: chunk results concatenate in chunk order;
-    // the panic with the lowest input index wins regardless of which
-    // worker finished first; a panic anywhere outranks cancellation (the
-    // panic names a concrete defect, cancellation is just the controller
-    // giving up).
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(threads);
-    let mut first: Option<FirstPanic> = None;
-    let mut cancelled = false;
-    for (c, slot) in slots.into_iter().enumerate() {
-        let outcome = slot
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .unwrap_or_else(|| {
-                Err(ParFailure::Panic(FirstPanic {
-                    index: chunks[c].1,
-                    payload: Box::new("worker terminated without reporting a result".to_string()),
-                }))
-            });
-        match outcome {
-            Ok(rs) => results.push(rs),
-            Err(ParFailure::Cancelled) => cancelled = true,
-            Err(ParFailure::Panic(p)) => {
-                if first.as_ref().is_none_or(|f| p.index < f.index) {
-                    first = Some(p);
-                }
-            }
-        }
-    }
-    match (first, cancelled) {
-        (Some(p), _) => Err(ParFailure::Panic(p)),
-        (None, true) => Err(ParFailure::Cancelled),
-        (None, false) => Ok(results.into_iter().flatten().collect()),
     }
 }
 
 /// Maps `f` over `items`, possibly on multiple threads, preserving input
-/// order in the result.
-///
-/// Items are split into at most `threads` contiguous chunks of at least
-/// `min_chunk` items each, so small inputs stay on one thread and avoid
-/// spawn overhead. Results are concatenated chunk by chunk: element `i` of
-/// the return value is always `f(&items[i])`.
+/// order in the result: element `i` of the return value is always
+/// `f(&items[i])`. Runs on [`try_par_fill`] with one item per block.
 ///
 /// # Panics
 ///
 /// Re-raises the first worker panic (lowest input index) on the calling
 /// thread. Use [`try_par_map`] to receive it as a [`LinalgError`] instead.
-pub fn par_map<T, R, F>(par: Parallelism, items: &[T], min_chunk: usize, f: F) -> Vec<R>
+pub fn par_map<T, R, F>(par: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match par_map_core(par, items, min_chunk, None, f) {
+    match map_items(par, items, f) {
         Ok(results) => results,
         Err(ParFailure::Panic(p)) => std::panic::resume_unwind(p.payload),
         // Unreachable: no token was passed, so nothing can cancel.
@@ -441,80 +334,37 @@ where
 /// ```
 /// use mtperf_linalg::parallel::{try_par_map, Parallelism};
 ///
-/// let ok = try_par_map(Parallelism::Fixed(2), &[1, 2, 3], 1, |&x| x * x);
+/// let ok = try_par_map(Parallelism::Fixed(2), &[1, 2, 3], |&x| x * x);
 /// assert_eq!(ok.unwrap(), vec![1, 4, 9]);
 ///
-/// let err = try_par_map(Parallelism::Fixed(2), &[1, 2, 3], 1, |&x| {
+/// let err = try_par_map(Parallelism::Fixed(2), &[1, 2, 3], |&x| {
 ///     assert!(x != 2, "bad item");
 ///     x
 /// });
 /// assert!(err.is_err());
 /// ```
-pub fn try_par_map<T, R, F>(
-    par: Parallelism,
-    items: &[T],
-    min_chunk: usize,
-    f: F,
-) -> Result<Vec<R>, LinalgError>
+pub fn try_par_map<T, R, F>(par: Parallelism, items: &[T], f: F) -> Result<Vec<R>, LinalgError>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_core(par, items, min_chunk, None, f).map_err(ParFailure::into_error)
+    map_items(par, items, f).map_err(ParFailure::into_error)
 }
 
-impl ParFailure {
-    fn into_error(self) -> LinalgError {
-        match self {
-            ParFailure::Panic(p) => LinalgError::WorkerPanic {
-                index: p.index,
-                message: p.message(),
-            },
-            ParFailure::Cancelled => LinalgError::Cancelled,
-        }
-    }
-}
-
-/// [`try_par_map`] with cooperative cancellation: `cancel` is consulted
-/// before every item, on every worker, so a fired token (explicit
-/// [`CancelToken::cancel`] or an expired deadline) stops the section within
-/// one item's worth of work per thread.
-///
-/// Successful runs are bit-identical to [`try_par_map`] at any thread
-/// count. Cancellation discards all partial results — the caller gets
-/// [`LinalgError::Cancelled`], never a partially filled vector.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::Cancelled`] when the token fires before the last
-/// item completes, and [`LinalgError::WorkerPanic`] when a worker closure
-/// panics (a panic outranks concurrent cancellation, deterministically).
-///
-/// # Example
-///
-/// ```
-/// use mtperf_linalg::parallel::{try_par_map_cancel, CancelToken, Parallelism};
-/// use mtperf_linalg::LinalgError;
-///
-/// let token = CancelToken::new();
-/// token.cancel();
-/// let err = try_par_map_cancel(Parallelism::Fixed(2), &[1, 2, 3], 1, &token, |&x| x);
-/// assert!(matches!(err, Err(LinalgError::Cancelled)));
-/// ```
-pub fn try_par_map_cancel<T, R, F>(
-    par: Parallelism,
-    items: &[T],
-    min_chunk: usize,
-    cancel: &CancelToken,
-    f: F,
-) -> Result<Vec<R>, LinalgError>
+/// The map adapter: fills a pre-sized output with block size 1, so block
+/// indices are item indices.
+fn map_items<T, R, F>(par: Parallelism, items: &[T], f: F) -> Result<Vec<R>, ParFailure>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_core(par, items, min_chunk, Some(cancel), f).map_err(ParFailure::into_error)
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    fill_blocks(par, &mut out, 1, None, |i, slot| {
+        slot[0] = Some(f(&items[i]))
+    })?;
+    Ok(out.into_iter().flatten().collect())
 }
 
 /// In-place deterministic parallel fill: splits `out` into `block`-sized
@@ -522,19 +372,21 @@ where
 /// `par.threads()` chunks, and calls `fill(start, &mut out[start..])` once
 /// per block. Because every block writes directly into its own disjoint
 /// region of `out`, there is no per-block allocation and no reduction
-/// copy — this is the engine under compiled batch prediction.
+/// copy. This is the one engine under every parallel section: compiled
+/// batch prediction, the CSV scan, and (through [`par_map`] and
+/// [`try_par_map`]) the split search, CV folds and report rendering.
 ///
-/// Determinism matches [`try_par_map`]: block → output mapping is
-/// positional, so the contents of `out` are bit-identical at any
-/// [`Parallelism`] setting (for a `fill` free of shared mutable state).
-/// `cancel`, when given, is consulted before every block on every worker;
-/// panics inside `fill` are caught per block and reported with the lowest
-/// panicking *block index*.
+/// Block → output mapping is positional, so the contents of `out` are
+/// bit-identical at any [`Parallelism`] setting (for a `fill` free of
+/// shared mutable state). `cancel`, when given, is consulted before every
+/// block on every worker, so a fired token (explicit
+/// [`CancelToken::cancel`] or an expired deadline) stops the section
+/// within one block's worth of work per thread. Panics inside `fill` are
+/// caught per block and reported with the lowest panicking *block index*;
+/// a panic outranks concurrent cancellation.
 ///
 /// On error, `out` contents are unspecified (some blocks written, others
-/// not) — callers must discard the buffer, mirroring the
-/// "cancellation discards partial results" contract of
-/// [`try_par_map_cancel`].
+/// not) — callers must discard the buffer.
 ///
 /// # Errors
 ///
@@ -545,7 +397,8 @@ where
 /// # Example
 ///
 /// ```
-/// use mtperf_linalg::parallel::{try_par_fill, Parallelism};
+/// use mtperf_linalg::parallel::{try_par_fill, CancelToken, Parallelism};
+/// use mtperf_linalg::LinalgError;
 ///
 /// let mut out = vec![0u64; 10];
 /// try_par_fill(Parallelism::Fixed(3), &mut out, 4, None, |start, block| {
@@ -555,6 +408,11 @@ where
 /// })
 /// .unwrap();
 /// assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<u64>>());
+///
+/// let token = CancelToken::new();
+/// token.cancel();
+/// let err = try_par_fill(Parallelism::Fixed(2), &mut out, 1, Some(&token), |_, _| {});
+/// assert!(matches!(err, Err(LinalgError::Cancelled)));
 /// ```
 pub fn try_par_fill<R, F>(
     par: Parallelism,
@@ -563,6 +421,22 @@ pub fn try_par_fill<R, F>(
     cancel: Option<&CancelToken>,
     fill: F,
 ) -> Result<(), LinalgError>
+where
+    R: Send,
+    F: Fn(usize, &mut [R]) + Sync,
+{
+    fill_blocks(par, out, block, cancel, fill).map_err(ParFailure::into_error)
+}
+
+/// The engine behind [`try_par_fill`], keeping the panic payload so
+/// [`par_map`] can re-raise it.
+fn fill_blocks<R, F>(
+    par: Parallelism,
+    out: &mut [R],
+    block: usize,
+    cancel: Option<&CancelToken>,
+    fill: F,
+) -> Result<(), ParFailure>
 where
     R: Send,
     F: Fn(usize, &mut [R]) + Sync,
@@ -598,7 +472,7 @@ where
 
     let threads = par.threads().min(n_blocks);
     if threads <= 1 || IN_PARALLEL.with(Cell::get) {
-        return run_span(0, n_blocks, out).map_err(ParFailure::into_error);
+        return run_span(0, n_blocks, out);
     }
 
     // Near-equal contiguous runs of blocks per chunk; the first `rem`
@@ -621,6 +495,12 @@ where
     debug_assert_eq!(start_block, n_blocks);
     debug_assert!(remaining.is_empty());
 
+    // Capture the caller's span context (if tracing is on) so spans opened
+    // inside worker closures nest under the span that dispatched the
+    // section. `None` when tracing is disabled: workers then run the
+    // closure directly. Re-installing the same frame on the calling thread
+    // (chunk 0) is harmless — span ids hash the logical call path, so the
+    // extra frame changes nothing.
     let obs_ctx = mtperf_obs::current_context();
     pool::run_chunked(threads, &|c: usize| {
         let mut slot = lock(&slots[c]);
@@ -632,9 +512,12 @@ where
         }
     });
 
-    // Same deterministic precedence as `par_map`: lowest-index panic, then
-    // cancellation. A chunk whose input was never taken (worker died before
-    // starting) reports as a panic on its first block.
+    // Deterministic reduction: the panic with the lowest block index wins
+    // regardless of which worker finished first, and a panic anywhere
+    // outranks cancellation (the panic names a concrete defect,
+    // cancellation is just the controller giving up). A chunk whose input
+    // was never taken (worker died before starting) reports as a panic on
+    // its first block.
     let mut first: Option<FirstPanic> = None;
     let mut cancelled = false;
     for slot in slots {
@@ -656,8 +539,8 @@ where
         }
     }
     match (first, cancelled) {
-        (Some(p), _) => Err(ParFailure::Panic(p).into_error()),
-        (None, true) => Err(LinalgError::Cancelled),
+        (Some(p), _) => Err(ParFailure::Panic(p)),
+        (None, true) => Err(ParFailure::Cancelled),
         (None, false) => Ok(()),
     }
 }
@@ -710,9 +593,9 @@ mod tests {
     #[test]
     fn preserves_input_order_at_any_thread_count() {
         let items: Vec<usize> = (0..1000).collect();
-        let serial = par_map(Parallelism::Off, &items, 1, |&x| x * 3);
+        let serial = par_map(Parallelism::Off, &items, |&x| x * 3);
         for threads in [1, 2, 3, 4, 7, 16] {
-            let parallel = par_map(Parallelism::Fixed(threads), &items, 1, |&x| x * 3);
+            let parallel = par_map(Parallelism::Fixed(threads), &items, |&x| x * 3);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
@@ -720,39 +603,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(Parallelism::Auto, &empty, 1, |&x| x).is_empty());
-        assert_eq!(
-            par_map(Parallelism::Fixed(8), &[5u32], 1, |&x| x + 1),
-            vec![6]
-        );
-    }
-
-    #[test]
-    fn min_chunk_limits_fan_out() {
-        // 10 items with min_chunk 8 must not use more than one thread; the
-        // observable contract is just that results stay correct and ordered.
-        let items: Vec<usize> = (0..10).collect();
-        let got = par_map(Parallelism::Fixed(8), &items, 8, |&x| x + 1);
-        assert_eq!(got, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn min_chunk_zero_means_one_chunk_per_thread() {
-        // `min_chunk == 0` is the documented no-lower-bound case: the
-        // fan-out is limited only by the thread budget and the item count
-        // (one chunk per thread when items suffice, one item per chunk
-        // when threads exceed items). It must behave exactly like
-        // `min_chunk == 1` on every input, including fewer items than
-        // threads and the empty slice.
-        for threads in [1usize, 2, 3, 8] {
-            for n in [0usize, 1, 2, 5, 7, 100] {
-                let items: Vec<usize> = (0..n).collect();
-                let zero = par_map(Parallelism::Fixed(threads), &items, 0, |&x| x * 7 + 1);
-                let one = par_map(Parallelism::Fixed(threads), &items, 1, |&x| x * 7 + 1);
-                assert_eq!(zero, one, "threads = {threads}, n = {n}");
-                assert_eq!(zero, items.iter().map(|&x| x * 7 + 1).collect::<Vec<_>>());
-            }
-        }
+        assert!(par_map(Parallelism::Auto, &empty, |&x| x).is_empty());
+        assert_eq!(par_map(Parallelism::Fixed(8), &[5u32], |&x| x + 1), vec![6]);
     }
 
     #[test]
@@ -844,9 +696,9 @@ mod tests {
     #[test]
     fn nested_calls_run_serially_and_correctly() {
         let outer: Vec<usize> = (0..8).collect();
-        let got = par_map(Parallelism::Fixed(4), &outer, 1, |&i| {
+        let got = par_map(Parallelism::Fixed(4), &outer, |&i| {
             let inner: Vec<usize> = (0..4).collect();
-            par_map(Parallelism::Fixed(4), &inner, 1, move |&j| i * 10 + j)
+            par_map(Parallelism::Fixed(4), &inner, move |&j| i * 10 + j)
         });
         for (i, row) in got.iter().enumerate() {
             assert_eq!(row, &vec![i * 10, i * 10 + 1, i * 10 + 2, i * 10 + 3]);
@@ -857,7 +709,7 @@ mod tests {
     #[should_panic(expected = "worker boom")]
     fn worker_panics_propagate() {
         let items: Vec<usize> = (0..64).collect();
-        par_map(Parallelism::Fixed(4), &items, 1, |&x| {
+        par_map(Parallelism::Fixed(4), &items, |&x| {
             assert!(x < 60, "worker boom");
             x
         });
@@ -866,12 +718,10 @@ mod tests {
     #[test]
     fn try_par_map_matches_par_map_on_clean_runs() {
         let items: Vec<usize> = (0..500).collect();
-        let plain = par_map(Parallelism::Off, &items, 1, |&x| (x as f64).sqrt());
+        let plain = par_map(Parallelism::Off, &items, |&x| (x as f64).sqrt());
         for threads in [1, 2, 3, 8] {
-            let tried = try_par_map(Parallelism::Fixed(threads), &items, 1, |&x| {
-                (x as f64).sqrt()
-            })
-            .unwrap();
+            let tried =
+                try_par_map(Parallelism::Fixed(threads), &items, |&x| (x as f64).sqrt()).unwrap();
             assert_eq!(tried.len(), plain.len());
             for (a, b) in tried.iter().zip(plain.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
@@ -883,7 +733,7 @@ mod tests {
     fn panicking_closure_returns_error_instead_of_unwinding() {
         let items: Vec<usize> = (0..64).collect();
         for threads in [1, 2, 4, 8] {
-            let err = try_par_map(Parallelism::Fixed(threads), &items, 1, |&x| {
+            let err = try_par_map(Parallelism::Fixed(threads), &items, |&x| {
                 assert!(x != 17, "deliberate failure");
                 x
             })
@@ -904,7 +754,7 @@ mod tests {
         // lowest one, no matter how chunks are scheduled.
         let items: Vec<usize> = (0..100).collect();
         for threads in [2, 3, 7, 16] {
-            let err = try_par_map(Parallelism::Fixed(threads), &items, 1, |&x| {
+            let err = try_par_map(Parallelism::Fixed(threads), &items, |&x| {
                 assert!(!(x >= 23 && x % 3 == 2), "multi-fail");
                 x
             })
@@ -918,7 +768,7 @@ mod tests {
 
     #[test]
     fn non_string_panic_payload_is_reported() {
-        let err = try_par_map(Parallelism::Off, &[1u32], 0, |_| {
+        let err = try_par_map(Parallelism::Off, &[1u32], |_| {
             std::panic::panic_any(42u32);
             #[allow(unreachable_code)]
             0u32
@@ -930,46 +780,67 @@ mod tests {
         assert!(message.contains("non-string"), "{message}");
     }
 
+    /// Fills `out[i] = i + 1`, one row per block, under `token`.
+    fn fill_cancellable(
+        threads: usize,
+        out: &mut [usize],
+        token: &CancelToken,
+    ) -> Result<(), LinalgError> {
+        try_par_fill(
+            Parallelism::Fixed(threads),
+            out,
+            1,
+            Some(token),
+            |i, slot| {
+                slot[0] = i + 1;
+            },
+        )
+    }
+
     #[test]
     fn pre_cancelled_token_stops_before_any_work() {
-        let items: Vec<usize> = (0..100).collect();
         let token = CancelToken::new();
         token.cancel();
         for threads in [1, 2, 8] {
-            let err =
-                try_par_map_cancel(Parallelism::Fixed(threads), &items, 1, &token, |&x| x * 2)
-                    .unwrap_err();
+            let mut out = vec![0usize; 100];
+            let err = fill_cancellable(threads, &mut out, &token).unwrap_err();
             assert!(matches!(err, LinalgError::Cancelled), "threads = {threads}");
+            assert!(out.iter().all(|&v| v == 0), "threads = {threads}: work ran");
         }
     }
 
     #[test]
     fn expired_deadline_cancels() {
-        let items: Vec<usize> = (0..50).collect();
         let token = CancelToken::with_deadline(Duration::ZERO);
-        let err = try_par_map_cancel(Parallelism::Fixed(4), &items, 1, &token, |&x| x).unwrap_err();
+        let err = fill_cancellable(4, &mut [0; 50], &token).unwrap_err();
         assert!(matches!(err, LinalgError::Cancelled));
     }
 
     #[test]
     fn future_deadline_lets_work_complete() {
-        let items: Vec<usize> = (0..64).collect();
         let token = CancelToken::with_deadline(Duration::from_secs(3600));
-        let got = try_par_map_cancel(Parallelism::Fixed(4), &items, 1, &token, |&x| x + 1).unwrap();
-        assert_eq!(got, (1..=64).collect::<Vec<_>>());
+        let mut out = vec![0usize; 64];
+        fill_cancellable(4, &mut out, &token).unwrap();
+        assert_eq!(out, (1..=64).collect::<Vec<_>>());
     }
 
     #[test]
     fn mid_run_cancel_from_another_thread_stops_the_section() {
-        let items: Vec<usize> = (0..10_000).collect();
+        let mut out = vec![0usize; 10_000];
         let token = CancelToken::new();
         let witness = token.clone();
-        let err = try_par_map_cancel(Parallelism::Fixed(2), &items, 1, &token, |&x| {
-            if x == 5 {
-                witness.cancel();
-            }
-            x
-        })
+        let err = try_par_fill(
+            Parallelism::Fixed(2),
+            &mut out,
+            1,
+            Some(&token),
+            |i, slot| {
+                if i == 5 {
+                    witness.cancel();
+                }
+                slot[0] = i;
+            },
+        )
         .unwrap_err();
         assert!(matches!(err, LinalgError::Cancelled));
     }
@@ -978,17 +849,23 @@ mod tests {
     fn worker_panic_outranks_cancellation() {
         // One item panics, another cancels: the panic must win so the defect
         // is reported, at any thread count.
-        let items: Vec<usize> = (0..64).collect();
         for threads in [1, 2, 8] {
+            let mut out = vec![0usize; 64];
             let token = CancelToken::new();
             let witness = token.clone();
-            let err = try_par_map_cancel(Parallelism::Fixed(threads), &items, 1, &token, |&x| {
-                assert!(x != 0, "defect first");
-                if x == 1 {
-                    witness.cancel();
-                }
-                x
-            })
+            let err = try_par_fill(
+                Parallelism::Fixed(threads),
+                &mut out,
+                1,
+                Some(&token),
+                |i, slot| {
+                    assert!(i != 0, "defect first");
+                    if i == 1 {
+                        witness.cancel();
+                    }
+                    slot[0] = i;
+                },
+            )
             .unwrap_err();
             assert!(
                 matches!(err, LinalgError::WorkerPanic { index: 0, .. }),

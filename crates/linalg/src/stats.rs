@@ -106,27 +106,6 @@ pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
     )
 }
 
-/// Linear interpolation quantile (`q` in `[0, 1]`) of an **unsorted** slice.
-///
-/// Returns `None` for an empty slice.
-///
-/// # Panics
-///
-/// Panics if `q` is not within `[0, 1]` or any value is NaN.
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile q={q} outside [0, 1]");
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
 /// Simple univariate linear regression of `y` on `x`.
 ///
 /// Returns `(intercept, slope, r_squared)`; `None` when `x` has zero
@@ -220,27 +199,6 @@ mod tests {
     fn min_max_basic() {
         assert_eq!(min_max(&[3.0, -1.0, 2.0]), Some((-1.0, 3.0)));
         assert_eq!(min_max(&[]), None);
-    }
-
-    #[test]
-    fn quantile_median_and_extremes() {
-        let xs = [5.0, 1.0, 3.0];
-        assert_eq!(quantile(&xs, 0.5), Some(3.0));
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(5.0));
-        assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let xs = [0.0, 10.0];
-        assert!((quantile(&xs, 0.25).unwrap() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn quantile_rejects_out_of_range() {
-        let _ = quantile(&[1.0], 1.5);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use mtperf_linalg::parallel::{self, Parallelism};
-use mtperf_linalg::{try_par_fill, try_par_map, try_par_map_cancel, CancelToken, LinalgError};
+use mtperf_linalg::{try_par_fill, try_par_map, CancelToken, LinalgError};
 
 /// Deterministic, rounding-sensitive per-item work: a chain of
 /// transcendental ops whose bit pattern would expose any change in
@@ -53,12 +53,8 @@ fn repeated_calls_on_one_pool_stay_bit_identical_across_faults() {
                 let want = serial_reference(n);
                 let items: Vec<usize> = (0..n).collect();
 
-                let mapped = try_par_map(par, &items, 1, |&i| work(i)).unwrap();
+                let mapped = try_par_map(par, &items, |&i| work(i)).unwrap();
                 assert_bits_eq(&mapped, &want, &format!("{ctx}, try_par_map"));
-
-                let token = CancelToken::new();
-                let mapped = try_par_map_cancel(par, &items, 1, &token, |&i| work(i)).unwrap();
-                assert_bits_eq(&mapped, &want, &format!("{ctx}, try_par_map_cancel"));
 
                 let mut filled = vec![0.0f64; n];
                 try_par_fill(par, &mut filled, 3, None, |start, block| {
@@ -68,6 +64,15 @@ fn repeated_calls_on_one_pool_stay_bit_identical_across_faults() {
                 })
                 .unwrap();
                 assert_bits_eq(&filled, &want, &format!("{ctx}, try_par_fill"));
+
+                // An armed but unfired token changes nothing.
+                let token = CancelToken::new();
+                let mut filled = vec![0.0f64; n];
+                try_par_fill(par, &mut filled, 1, Some(&token), |i, slot| {
+                    slot[0] = work(i);
+                })
+                .unwrap();
+                assert_bits_eq(&filled, &want, &format!("{ctx}, cancellable fill"));
             }
         }
 
@@ -77,7 +82,7 @@ fn repeated_calls_on_one_pool_stay_bit_identical_across_faults() {
         // 1. A worker panic: isolated, reported at the input index, and
         //    the panicking thread's state must not leak into later jobs.
         let items: Vec<usize> = (0..101).collect();
-        let err = try_par_map(Parallelism::Fixed(7), &items, 1, |&i| {
+        let err = try_par_map(Parallelism::Fixed(7), &items, |&i| {
             assert!(i != 53, "injected panic, round {round}");
             work(i)
         })
@@ -97,12 +102,19 @@ fn repeated_calls_on_one_pool_stay_bit_identical_across_faults() {
         //    in-flight chunk stops at its next check, partial results are
         //    discarded, and the pool is immediately reusable.
         let token = CancelToken::new();
-        let err = try_par_map_cancel(Parallelism::Fixed(2), &items, 1, &token, |&i| {
-            if i == 20 {
-                token.cancel();
-            }
-            work(i)
-        })
+        let mut filled = vec![0.0f64; items.len()];
+        let err = try_par_fill(
+            Parallelism::Fixed(2),
+            &mut filled,
+            1,
+            Some(&token),
+            |i, slot| {
+                if i == 20 {
+                    token.cancel();
+                }
+                slot[0] = work(i);
+            },
+        )
         .unwrap_err();
         assert!(
             matches!(err, LinalgError::Cancelled),

@@ -667,7 +667,7 @@ fn render_predictions_csv(table: &CounterTable, predicted: &[f64]) -> Result<Str
         0 | 1 => Parallelism::Off,
         _ => parallel::global(),
     };
-    let blocks = parallel::try_par_map(par, &blocks, 2, |&(start, block)| {
+    let blocks = parallel::try_par_map(par, &blocks, |&(start, block)| {
         // A workload name, a section index, two shortest-form floats and
         // the separators rarely take more than 80 bytes.
         let mut text = String::with_capacity(80 * block.len());
@@ -805,18 +805,20 @@ impl SweepCoverage {
         self.requests += r.requests;
         self.responses += r.responses;
         self.typed_errors += r.typed_errors;
-        self.restarts += r.restarts;
-        self.faults += r.faults_injected;
-        self.multi_conn_sessions += r.multi_conn_sessions;
-        self.registry_ops += r.registry_ops;
-        self.cache_lookups += r.cache_hits + r.cache_misses;
+        let c = &r.counts;
+        self.restarts += c.restarts;
+        self.faults += c.faults_injected;
+        self.multi_conn_sessions += c.multi_conn_sessions;
+        self.registry_ops += c.registry_ops;
+        self.cache_lookups += c.cache_hits + c.cache_misses;
     }
 
     fn absorb_fleet(&mut self, r: &crate::serve::fleet::dst::FleetSimReport) {
-        self.fleet_kills += r.replica_kills;
-        self.fleet_circuit_opens += r.circuit_opens;
-        self.fleet_hedged += r.hedged_predicts;
-        self.fleet_failovers += r.failovers;
+        let c = &r.counts;
+        self.fleet_kills += c.replica_kills;
+        self.fleet_circuit_opens += c.circuit_opens;
+        self.fleet_hedged += c.hedged_predicts;
+        self.fleet_failovers += c.failovers;
     }
 
     /// Floors every aggregate must clear; returns the list of misses.
@@ -912,13 +914,13 @@ pub fn cmd_dst(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError
             report.requests,
             report.responses,
             report.typed_errors,
-            report.restarts,
-            report.faults_injected,
-            report.multi_conn_sessions,
-            report.registry_ops,
-            report.cache_hits,
-            report.cache_misses,
-            report.quota_refusals,
+            report.counts.restarts,
+            report.counts.faults_injected,
+            report.counts.multi_conn_sessions,
+            report.counts.registry_ops,
+            report.counts.cache_hits,
+            report.counts.cache_misses,
+            report.counts.quota_refusals,
             report.trace_hash(),
             if report.passed() { "pass" } else { "FAIL" },
         )?;
@@ -941,11 +943,10 @@ pub fn cmd_dst(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError
                 report.violations.len()
             )));
         }
-        let fleet_report =
-            crate::serve::fleet::dst::run_fleet_sim(&crate::serve::fleet::dst::FleetSimConfig {
-                seed,
-                sessions,
-            });
+        let fleet_report = crate::serve::fleet::dst::run_fleet_sim(&crate::serve::dst::SimConfig {
+            seed,
+            sessions,
+        });
         coverage.absorb_fleet(&fleet_report);
         writeln!(
             out,
@@ -955,14 +956,14 @@ pub fn cmd_dst(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError
             fleet_report.requests,
             fleet_report.responses,
             fleet_report.typed_errors,
-            fleet_report.replica_kills,
-            fleet_report.replica_restarts,
-            fleet_report.circuit_opens,
-            fleet_report.hedged_predicts,
-            fleet_report.failovers,
-            fleet_report.unavailable,
-            fleet_report.broadcasts,
-            fleet_report.fs_faults,
+            fleet_report.counts.replica_kills,
+            fleet_report.counts.replica_restarts,
+            fleet_report.counts.circuit_opens,
+            fleet_report.counts.hedged_predicts,
+            fleet_report.counts.failovers,
+            fleet_report.counts.unavailable,
+            fleet_report.counts.broadcasts,
+            fleet_report.counts.fs_faults,
             fleet_report.trace_hash(),
             if fleet_report.passed() {
                 "pass"
@@ -1129,6 +1130,11 @@ mod tests {
 
     #[test]
     fn threads_flag_sets_global_parallelism() {
+        // Simulations capture and restore the global setting under this
+        // lock; without it one could restore over the value checked here.
+        let _exclusive = crate::serve::dst::SIM_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let original = parallel::global();
         let a = args(&["frobnicate", "--threads", "3"]);
         let mut out = Vec::new();
@@ -1340,9 +1346,6 @@ mod tests {
     /// and neither path ever panics.
     #[test]
     fn train_under_seeded_read_faults_retries_then_fails_typed() {
-        use mtperf_detsim::clock::{self, VirtualClock};
-        use mtperf_detsim::fs as simfs;
-        use mtperf_detsim::rng::{self, SimRng};
         use mtperf_detsim::{FaultScript, FsOp};
         use std::sync::Arc;
 
@@ -1369,10 +1372,7 @@ mod tests {
         let model = dir.join("model.json").display().to_string();
 
         let script = Arc::new(FaultScript::new());
-        clock::install(VirtualClock::auto());
-        rng::install(Arc::new(SimRng::seed_from_u64(77)));
-        simfs::install(Arc::clone(&script) as Arc<dyn simfs::FaultHook>);
-        let _restore = crate::serve::dst::SeamGuard::new();
+        let _restore = crate::serve::dst::SeamGuard::install(77, Arc::clone(&script));
 
         // Two transient faults on the data file: with_retry's 4-deep
         // backoff schedule absorbs them and the full ingest->fit->save

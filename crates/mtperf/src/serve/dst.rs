@@ -41,6 +41,11 @@
 //! restart — the registry reopens with the promoted version or a clean
 //! prior one (**last known good is never lost**).
 //!
+//! The sim lock, the per-seed working directory, seam install and
+//! restore, seed streams, the response audit and the report live in the
+//! shared `harness` module; the fleet scenario
+//! ([`crate::serve::fleet::dst`]) runs on the same harness.
+//!
 //! # Replay
 //!
 //! Everything observable is folded into an event trace (one line per
@@ -53,48 +58,30 @@
 //! <seed>` (or `MTPERF_SIM_SEED=<seed>`), which reproduces the exact
 //! schedule, faults, and verdict.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+mod harness;
+
+use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mtperf_detsim::clock::{self, VirtualClock};
-use mtperf_detsim::fs as simfs;
+use mtperf_detsim::clock;
 use mtperf_detsim::net::{Fault, SimStream};
-use mtperf_detsim::rng::{self, derive_seed, GenericRng, SimRng};
+use mtperf_detsim::rng::{GenericRng, SimRng};
 use mtperf_detsim::{FaultScript, FsOp};
-use mtperf_linalg::parallel::{self, Parallelism};
-use mtperf_mtree::{Dataset, M5Params, ModelTree};
-use serde::Deserialize;
 
-use super::admission::FairQueue;
-use super::cache::PredictionCache;
+pub(crate) use harness::{fmt_f64_row, json_path, new_shared, Harness, Route, VecWriter};
+pub use harness::{Report, Scenario, SimConfig};
+#[cfg(test)]
+pub(crate) use harness::{SeamGuard, SIM_LOCK};
+
 use super::registry::Registry;
 use super::router::{handle_line, run_session};
-use super::{answer, protocol, Shared, SharedWriter, Stats, SHUTDOWN};
+use super::{answer, protocol, Shared, SharedWriter, SHUTDOWN};
 
-/// One simulated run's parameters.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Root seed; every stream in the run derives from it.
-    pub seed: u64,
-    /// Number of client sessions to simulate.
-    pub sessions: usize,
-}
-
-/// Outcome of one simulated run.
-#[derive(Debug)]
-pub struct SimReport {
-    /// The seed that produced this run (replay key).
-    pub seed: u64,
-    /// Sessions simulated.
-    pub sessions: usize,
-    /// Request lines fed to the stack.
-    pub requests: u64,
-    /// Response lines observed.
-    pub responses: u64,
-    /// Responses that were typed protocol errors.
-    pub typed_errors: u64,
+/// The single-daemon scenario's own coverage counters.
+#[derive(Debug, Default)]
+pub struct ServeCounts {
     /// Drain/restart and crash/restart cycles performed.
     pub restarts: u64,
     /// I/O faults the filesystem script injected.
@@ -109,144 +96,15 @@ pub struct SimReport {
     pub cache_misses: u64,
     /// Per-tenant quota refusals observed by the daemon.
     pub quota_refusals: u64,
-    /// Invariant violations (empty = run passed).
-    pub violations: Vec<String>,
-    /// The deterministic event trace (replay fingerprint source).
-    pub trace: Vec<String>,
 }
 
-impl SimReport {
-    /// Whether every invariant held.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// FNV-1a hash of the event trace: the run's replay fingerprint. Two
-    /// runs of the same seed must produce equal hashes (and equal traces)
-    /// — including across processes and machines, because sim-dir paths
-    /// are sanitized out of the trace.
-    pub fn trace_hash(&self) -> u64 {
-        let mut joined = String::new();
-        for line in &self.trace {
-            joined.push_str(line);
-            joined.push('\n');
-        }
-        mtperf_obs::fsio::fnv1a_64(joined.as_bytes())
-    }
-
-    /// Writes the event trace to `path` atomically (one line per event,
-    /// with a header naming the seed and verdict).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the write failure.
-    pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
-        let mut text = format!(
-            "# mtperf dst trace seed={} sessions={} hash={:016x} verdict={}\n",
-            self.seed,
-            self.sessions,
-            self.trace_hash(),
-            if self.passed() { "pass" } else { "FAIL" }
-        );
-        for v in &self.violations {
-            text.push_str(&format!("# violation: {v}\n"));
-        }
-        for line in &self.trace {
-            text.push_str(line);
-            text.push('\n');
-        }
-        mtperf_obs::fsio::atomic_write(path, text.as_bytes())
-    }
+impl Scenario for ServeCounts {
+    const PREFIX: &'static str = "";
+    const FINAL_NEWLINE: bool = true;
 }
 
-/// Serializes simulated runs process-wide: the seams are global, so two
-/// concurrent simulations would corrupt each other's time and faults.
-pub(crate) static SIM_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores every global seam on scope exit (including panic unwinds), so
-/// a failing simulation cannot leave the process on virtual time.
-pub(crate) struct SeamGuard {
-    saved_parallelism: Parallelism,
-}
-
-impl SeamGuard {
-    /// Captures the current parallelism setting; the seams themselves are
-    /// restored unconditionally on drop.
-    pub(crate) fn new() -> SeamGuard {
-        SeamGuard {
-            saved_parallelism: parallel::global(),
-        }
-    }
-}
-
-impl Drop for SeamGuard {
-    fn drop(&mut self) {
-        clock::uninstall();
-        rng::uninstall();
-        simfs::uninstall();
-        parallel::set_global(self.saved_parallelism);
-        SHUTDOWN.store(false, Ordering::SeqCst);
-    }
-}
-
-/// Lenient mirror of the response schema, for invariant checking.
-#[derive(Debug, Deserialize)]
-struct SimResponse {
-    proto: Option<String>,
-    id: Option<String>,
-    ok: Option<bool>,
-    error: Option<SimError>,
-}
-
-#[derive(Debug, Deserialize)]
-struct SimError {
-    kind: Option<String>,
-}
-
-pub(crate) const KNOWN_KINDS: [&str; 11] = [
-    protocol::E_BAD_REQUEST,
-    protocol::E_OVERLOADED,
-    protocol::E_DEADLINE,
-    protocol::E_SHUTTING_DOWN,
-    protocol::E_RELOAD_FAILED,
-    protocol::E_SAVE_FAILED,
-    protocol::E_INTERNAL,
-    protocol::E_UNKNOWN_MODEL,
-    protocol::E_PROMOTE_FAILED,
-    protocol::E_ROLLBACK_FAILED,
-    protocol::E_UNAVAILABLE,
-];
-
-/// A deterministic tiny model: same shape as the serve unit-test fixture,
-/// trained from a fixed arithmetic dataset so every run of every seed
-/// serves byte-identical predictions. `slope` distinguishes the default
-/// artifact from the alternate one promotes install.
-pub(crate) fn sim_model(slope: f64) -> ModelTree {
-    let names = vec!["a0".to_string(), "a1".to_string()];
-    let rows: Vec<Vec<f64>> = (0..24)
-        .map(|r| vec![((r * 7) % 11) as f64, ((r * 3) % 5) as f64])
-        .collect();
-    let targets: Vec<f64> = rows.iter().map(|r| 1.0 + slope * r[0] - r[1]).collect();
-    let data = Dataset::from_rows(names, &rows, &targets).expect("static dataset is valid");
-    ModelTree::fit(&data, &M5Params::default().with_min_instances(4)).expect("fit cannot fail")
-}
-
-/// Seed-derived working directory: stable across replays of the same seed
-/// (no PID, no timestamp). Paths under it are sanitized to `<sim>` in the
-/// hashed trace, so the *fingerprint* is additionally stable across
-/// machines with different temp directories.
-fn sim_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("mtperf-dst-{seed:016x}"))
-}
-
-/// Rewrites sim-dir paths to a stable token before hashing.
-pub(crate) fn sanitize(raw: &[u8], dir: &str) -> String {
-    String::from_utf8_lossy(raw).replace(dir, "<sim>")
-}
-
-pub(crate) fn json_path(path: &Path) -> String {
-    serde_json::to_string(&path.display().to_string()).unwrap_or_default()
-}
+/// Outcome of one simulated single-daemon run.
+pub type SimReport = Report<ServeCounts>;
 
 /// One request the script generator planned.
 enum Op {
@@ -273,11 +131,6 @@ struct SessionPlan {
     /// This session scripted filesystem faults; verify last-known-good
     /// afterwards.
     touched_fs: bool,
-}
-
-pub(crate) fn fmt_f64_row(row: &[f64]) -> String {
-    let cells: Vec<String> = row.iter().map(|v| format!("{v:?}")).collect();
-    format!("[{}]", cells.join(","))
 }
 
 /// Generates one single-connection session's plan from the script/rows
@@ -554,72 +407,12 @@ fn plan_multi_session(
     (conns, script.gen_bool(0.03))
 }
 
-/// Collects response lines from raw output bytes and validates each
-/// against the protocol invariants, appending violations. With
-/// `id_prefix`, every response must carry an id with that prefix — the
-/// response-routing invariant for multi-connection sessions.
-fn audit_responses(
-    si: usize,
-    raw: &[u8],
-    typed_errors: &mut u64,
-    violations: &mut Vec<String>,
-    id_prefix: Option<&str>,
-) -> u64 {
-    let text = String::from_utf8_lossy(raw);
-    let mut n = 0u64;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        n += 1;
-        match serde_json::from_str::<SimResponse>(line) {
-            Ok(resp) => {
-                if resp.proto.as_deref() != Some(protocol::PROTOCOL) {
-                    violations.push(format!("s={si}: response missing proto marker: {line}"));
-                }
-                if resp.ok.is_none() {
-                    violations.push(format!("s={si}: response missing ok field: {line}"));
-                }
-                if let Some(prefix) = id_prefix {
-                    match resp.id.as_deref() {
-                        Some(id) if id.starts_with(prefix) => {}
-                        other => violations.push(format!(
-                            "s={si}: response routed to wrong connection \
-                             (want id prefix {prefix:?}, got {other:?}): {line}"
-                        )),
-                    }
-                }
-                if let Some(err) = resp.error {
-                    *typed_errors += 1;
-                    match err.kind.as_deref() {
-                        Some(kind) if KNOWN_KINDS.contains(&kind) => {}
-                        other => violations.push(format!(
-                            "s={si}: error kind {other:?} is not in the closed set"
-                        )),
-                    }
-                }
-            }
-            Err(e) => violations.push(format!("s={si}: unparsable response line ({e}): {line}")),
-        }
-    }
-    n
-}
-
-pub(crate) fn new_shared(reg: Registry) -> Arc<Shared> {
-    Arc::new(Shared {
-        registry: Mutex::new(reg),
-        queue: FairQueue::new(4, 2),
-        cache: Mutex::new(PredictionCache::new(8)),
-        stats: Stats::default(),
-        draining: AtomicBool::new(false),
-        workers: 1,
-        default_deadline_ms: None,
-    })
-}
-
 /// Folds a retiring `Shared`'s counters into the report (once per
 /// daemon incarnation: before each restart and at run end).
-fn absorb_stats(report: &mut SimReport, shared: &Shared) {
-    report.cache_hits += shared.stats.cache_hits.load(Ordering::Relaxed);
-    report.cache_misses += shared.stats.cache_misses.load(Ordering::Relaxed);
-    report.quota_refusals += shared.stats.quota_refusals.load(Ordering::Relaxed);
+fn absorb_stats(counts: &mut ServeCounts, shared: &Shared) {
+    counts.cache_hits += shared.stats.cache_hits.load(Ordering::Relaxed);
+    counts.cache_misses += shared.stats.cache_misses.load(Ordering::Relaxed);
+    counts.quota_refusals += shared.stats.quota_refusals.load(Ordering::Relaxed);
 }
 
 /// Drains every queued job on the calling thread, checking the
@@ -689,13 +482,7 @@ fn cache_probe(shared: &Arc<Shared>, si: usize, rows_rng: &SimRng, report: &mut 
         drain(shared, si, &mut report.violations);
         let raw = sink.lock().unwrap_or_else(|e| e.into_inner()).clone();
         report.requests += 1;
-        report.responses += audit_responses(
-            si,
-            &raw,
-            &mut report.typed_errors,
-            &mut report.violations,
-            None,
-        );
+        report.responses += report.audit_lines(&format!("s={si}"), &raw, Route::Any);
         payloads.push(predictions_payload(&raw));
     }
     if payloads[0].is_none() || payloads[0] != payloads[1] {
@@ -710,20 +497,6 @@ fn cache_probe(shared: &Arc<Shared>, si: usize, rows_rng: &SimRng, report: &mut 
         .push(format!("s={si} probe row={row} cache_hit={hit}"));
 }
 
-pub(crate) struct VecWriter(pub(crate) Arc<Mutex<Vec<u8>>>);
-impl std::io::Write for VecWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Runs one seeded simulation of the serving stack. See the module docs.
 ///
 /// Process-global seams (clock, RNG, filesystem faults) are installed for
@@ -731,77 +504,17 @@ impl std::io::Write for VecWriter {
 /// internal lock.
 #[allow(clippy::too_many_lines)]
 pub fn run_sim(cfg: &SimConfig) -> SimReport {
-    let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let saved_parallelism = parallel::global();
-    let mut report = SimReport {
-        seed: cfg.seed,
-        sessions: cfg.sessions,
-        requests: 0,
-        responses: 0,
-        typed_errors: 0,
-        restarts: 0,
-        faults_injected: 0,
-        multi_conn_sessions: 0,
-        registry_ops: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        quota_refusals: 0,
-        violations: Vec::new(),
-        trace: Vec::new(),
+    let mut report = SimReport::new(cfg);
+    let Some(h) = Harness::open(&mut report) else {
+        return report;
     };
+    let (model_path, alt_path, poison_path) = (&h.model_path, &h.alt_path, &h.poison_path);
+    let manifest_path = h.dir.join("registry.json");
+    let fs_script = &h.faults;
+    let script = h.stream("script");
+    let rows_rng = h.stream("rows");
 
-    // Working directory and artifacts, reset to a clean slate so a replay
-    // starts from the same filesystem state.
-    let dir = sim_dir(cfg.seed);
-    let dir_str = dir.display().to_string();
-    let _ = std::fs::remove_dir_all(&dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        report
-            .violations
-            .push(format!("setup: cannot create {}: {e}", dir.display()));
-        return report;
-    }
-    let model_path = dir.join("model.json");
-    let alt_path = dir.join("alt.json");
-    let poison_path = dir.join("poison.json");
-    let manifest_path = dir.join("registry.json");
-    let tree = sim_model(2.0);
-    if let Err(e) = tree.save(&model_path) {
-        report
-            .violations
-            .push(format!("setup: cannot save model: {e}"));
-        return report;
-    }
-    if let Err(e) = sim_model(-3.0).save(&alt_path) {
-        report
-            .violations
-            .push(format!("setup: cannot save alt model: {e}"));
-        return report;
-    }
-    if let Err(e) = std::fs::write(&poison_path, b"{ definitely not a model }") {
-        report
-            .violations
-            .push(format!("setup: cannot write poison artifact: {e}"));
-        return report;
-    }
-
-    // Install the simulators. Parallelism off: a single logical thread is
-    // what makes the schedule (and therefore the trace) deterministic.
-    let vclock = VirtualClock::auto();
-    let fs_script = Arc::new(FaultScript::new());
-    clock::install(vclock.clone());
-    rng::install(Arc::new(SimRng::seed_from_u64(derive_seed(
-        cfg.seed, "jitter",
-    ))));
-    simfs::install(Arc::clone(&fs_script) as Arc<dyn simfs::FaultHook>);
-    parallel::set_global(Parallelism::Off);
-    SHUTDOWN.store(false, Ordering::SeqCst);
-    let _restore = SeamGuard { saved_parallelism };
-
-    let script = SimRng::seed_from_u64(derive_seed(cfg.seed, "script"));
-    let rows_rng = SimRng::seed_from_u64(derive_seed(cfg.seed, "rows"));
-
-    let reg = match Registry::open(&model_path, Some(&manifest_path)) {
+    let reg = match Registry::open(model_path, Some(&manifest_path)) {
         Ok(r) => r,
         Err(e) => {
             report
@@ -835,16 +548,16 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         let mut mode_detail = String::new();
 
         if multi {
-            report.multi_conn_sessions += 1;
+            report.counts.multi_conn_sessions += 1;
             mode = "multi";
             let (conns, crash) = plan_multi_session(
                 si,
                 &script,
                 &rows_rng,
-                &fs_script,
-                &alt_path,
-                &poison_path,
-                &mut report.registry_ops,
+                fs_script,
+                alt_path,
+                poison_path,
+                &mut report.counts.registry_ops,
                 &mut touched_fs,
             );
             crashed = crash;
@@ -918,26 +631,13 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             for (ci, sink) in sinks.iter().enumerate() {
                 let raw = sink.lock().unwrap_or_else(|e| e.into_inner()).clone();
                 let prefix = format!("s{si}c{ci}-");
-                total_resp += audit_responses(
-                    si,
-                    &raw,
-                    &mut report.typed_errors,
-                    &mut report.violations,
-                    Some(&prefix),
-                );
+                total_resp += report.audit_lines(&format!("s={si}"), &raw, Route::Prefix(&prefix));
                 all_out.extend_from_slice(&raw);
             }
             n_resp = total_resp;
-            out_hash = mtperf_obs::fsio::fnv1a_64(sanitize(&all_out, &dir_str).as_bytes());
+            out_hash = h.out_hash(&all_out);
         } else {
-            let plan = plan_session(
-                si,
-                &script,
-                &rows_rng,
-                &fs_script,
-                &model_path,
-                &poison_path,
-            );
+            let plan = plan_session(si, &script, &rows_rng, fs_script, model_path, poison_path);
             mode = if plan.wire { "wire" } else { "struct" };
             crashed = plan.crash_after;
             lossy = plan.lossy;
@@ -1027,14 +727,8 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 raw_out = sink.lock().unwrap_or_else(|e| e.into_inner()).clone();
             }
 
-            n_resp = audit_responses(
-                si,
-                &raw_out,
-                &mut report.typed_errors,
-                &mut report.violations,
-                None,
-            );
-            out_hash = mtperf_obs::fsio::fnv1a_64(sanitize(&raw_out, &dir_str).as_bytes());
+            n_resp = report.audit_lines(&format!("s={si}"), &raw_out, Route::Any);
+            out_hash = h.out_hash(&raw_out);
         }
 
         report.responses += n_resp;
@@ -1090,11 +784,11 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 }
             }
             fs_script.clear();
-            absorb_stats(&mut report, &shared);
-            match Registry::open(&model_path, Some(&manifest_path)) {
+            absorb_stats(&mut report.counts, &shared);
+            match Registry::open(model_path, Some(&manifest_path)) {
                 Ok(fresh) => {
                     shared = new_shared(fresh);
-                    report.restarts += 1;
+                    report.counts.restarts += 1;
                     report.trace.push(format!(
                         "s={si} restart ok t_us={}",
                         clock::now().as_micros()
@@ -1108,8 +802,8 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                     // Re-seed the artifacts so the rest of the run still
                     // exercises the stack (the violation is recorded).
                     let _ = std::fs::remove_file(&manifest_path);
-                    let _ = tree.save(&model_path);
-                    if let Ok(fresh) = Registry::open(&model_path, Some(&manifest_path)) {
+                    let _ = h.model.save(model_path);
+                    if let Ok(fresh) = Registry::open(model_path, Some(&manifest_path)) {
                         shared = new_shared(fresh);
                     }
                 }
@@ -1127,30 +821,30 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             .violations
             .push("final drain left queued work".into());
     }
-    absorb_stats(&mut report, &shared);
+    absorb_stats(&mut report.counts, &shared);
     fs_script.clear();
-    if let Err(e) = Registry::open(&model_path, Some(&manifest_path)) {
+    if let Err(e) = Registry::open(model_path, Some(&manifest_path)) {
         report
             .violations
             .push(format!("final registry unservable: {e}"));
     }
-    report.faults_injected = fs_script.injected();
-    report.trace.push(format!(
+    report.counts.faults_injected = fs_script.injected();
+    let c = &report.counts;
+    let end = format!(
         "end t_us={} requests={} responses={} typed_errors={} restarts={} faults={} multi={} regops={} cache_hits={} cache_misses={} quota={}",
         clock::now().as_micros(),
         report.requests,
         report.responses,
         report.typed_errors,
-        report.restarts,
-        report.faults_injected,
-        report.multi_conn_sessions,
-        report.registry_ops,
-        report.cache_hits,
-        report.cache_misses,
-        report.quota_refusals,
-    ));
-
-    let _ = std::fs::remove_dir_all(&dir);
+        c.restarts,
+        c.faults_injected,
+        c.multi_conn_sessions,
+        c.registry_ops,
+        c.cache_hits,
+        c.cache_misses,
+        c.quota_refusals,
+    );
+    report.trace.push(end);
     report
 }
 
@@ -1209,10 +903,13 @@ mod tests {
             sessions: 60,
         });
         assert!(r.passed(), "violations: {:?}", r.violations);
-        assert!(r.multi_conn_sessions > 0, "no multi-connection sessions");
-        assert!(r.registry_ops > 0, "no registry ops generated");
         assert!(
-            r.cache_hits + r.cache_misses > 0,
+            r.counts.multi_conn_sessions > 0,
+            "no multi-connection sessions"
+        );
+        assert!(r.counts.registry_ops > 0, "no registry ops generated");
+        assert!(
+            r.counts.cache_hits + r.counts.cache_misses > 0,
             "prediction cache never consulted"
         );
     }
@@ -1234,18 +931,46 @@ mod tests {
 
     #[test]
     fn seams_are_restored_after_a_sim() {
-        let _ = run_sim(&SimConfig {
-            seed: 3,
+        use mtperf_linalg::parallel::{self, Parallelism};
+
+        let cfg = SimConfig {
+            seed: 5001,
             sessions: 4,
-        });
-        // Tests run in parallel and every other sim installs its own
-        // virtual clock while it holds the sim lock: hold it too, so the
-        // check sees the seams this sim left behind.
-        let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Real time flows again.
-        let t0 = clock::now();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(clock::now() > t0, "clock seam not restored");
-        assert!(!SHUTDOWN.load(Ordering::SeqCst));
+        };
+        for fleet in [false, true] {
+            let name = if fleet { "run_fleet_sim" } else { "run_sim" };
+            // The caller's thread budget, set under the lock so no other
+            // sim's serial setting is mistaken for it.
+            let saved = {
+                let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+                let saved = parallel::global();
+                parallel::set_global(Parallelism::Fixed(3));
+                saved
+            };
+            if fleet {
+                drop(crate::serve::fleet::dst::run_fleet_sim(&cfg));
+            } else {
+                drop(run_sim(&cfg));
+            }
+            // Tests run in parallel and every other sim installs its own
+            // virtual clock while it holds the sim lock: hold it too, so the
+            // check sees the seams this sim left behind.
+            let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            let restored = parallel::global();
+            parallel::set_global(saved);
+            assert_eq!(
+                restored,
+                Parallelism::Fixed(3),
+                "{name} leaked its parallelism"
+            );
+            // Real time flows again.
+            let t0 = clock::now();
+            std::thread::sleep(Duration::from_millis(2));
+            assert!(clock::now() > t0, "{name}: clock seam not restored");
+            assert!(
+                !SHUTDOWN.load(Ordering::SeqCst),
+                "{name}: shutdown flag left set"
+            );
+        }
     }
 }

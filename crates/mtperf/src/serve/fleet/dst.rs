@@ -27,8 +27,9 @@
 //! closed set, **circuit-open replicas receive only probe-admitted
 //! exchanges**, and at the end of the run every replica — including ones
 //! that died mid-promote — reopens its registry (no last known good is
-//! lost across a kill). Traces hash exactly like the single-daemon
-//! simulation: same seed, byte-identical trace, stable fingerprint.
+//! lost across a kill). The fleet is a scenario on the single-daemon
+//! simulation's harness ([`crate::serve::dst`]): same seed, byte-identical
+//! trace, stable fingerprint.
 
 use std::io;
 use std::path::PathBuf;
@@ -36,45 +37,22 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mtperf_detsim::clock::{self, VirtualClock};
-use mtperf_detsim::fs as simfs;
-use mtperf_detsim::rng::{self, derive_seed, GenericRng, SimRng};
-use mtperf_detsim::{FaultScript, FsOp};
-use mtperf_linalg::parallel::{self, Parallelism};
-use serde::Deserialize;
+use mtperf_detsim::clock;
+use mtperf_detsim::rng::GenericRng;
+use mtperf_detsim::FsOp;
 
 use super::super::dst::{
-    fmt_f64_row, json_path, new_shared, sanitize, sim_model, SeamGuard, VecWriter, KNOWN_KINDS,
-    SIM_LOCK,
+    fmt_f64_row, json_path, new_shared, Harness, Report, Route, Scenario, SimConfig, VecWriter,
 };
 use super::super::registry::Registry;
 use super::super::router::handle_line;
-use super::super::{answer, protocol, SessionControl, Shared, SharedWriter, SHUTDOWN};
+use super::super::{answer, SessionControl, Shared, SharedWriter, SHUTDOWN};
 use super::replica::{HealthState, ReplicaHealth};
 use super::router::{dispatch_line, Fleet, FleetStats, ReplicaLink, ReplicaSlot};
 
-/// One simulated fleet run's parameters.
-#[derive(Debug, Clone)]
-pub struct FleetSimConfig {
-    /// Root seed; everything else derives from it.
-    pub seed: u64,
-    /// Client sessions to simulate.
-    pub sessions: usize,
-}
-
-/// Everything observable from one simulated fleet run.
-#[derive(Debug)]
-pub struct FleetSimReport {
-    /// The seed that produced this run.
-    pub seed: u64,
-    /// Sessions simulated.
-    pub sessions: usize,
-    /// Client request lines dispatched through the router.
-    pub requests: u64,
-    /// Response lines returned to clients.
-    pub responses: u64,
-    /// Responses that were typed protocol errors.
-    pub typed_errors: u64,
+/// The fleet scenario's own coverage counters.
+#[derive(Debug, Default)]
+pub struct FleetCounts {
     /// Scripted replica kills that hit a live replica.
     pub replica_kills: u64,
     /// Replica restarts (scripted heals plus the end-of-run recovery).
@@ -91,34 +69,15 @@ pub struct FleetSimReport {
     pub broadcasts: u64,
     /// Filesystem faults injected by the script.
     pub fs_faults: u64,
-    /// Invariant violations (empty on a passing run).
-    pub violations: Vec<String>,
-    /// The replayable event trace.
-    pub trace: Vec<String>,
 }
 
-impl FleetSimReport {
-    /// `true` when no invariant was violated.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// FNV-1a fingerprint of the trace; byte-identical replays match.
-    pub fn trace_hash(&self) -> u64 {
-        mtperf_obs::fsio::fnv1a_64(self.trace.join("\n").as_bytes())
-    }
-
-    /// Writes the trace (one event per line) for offline diffing.
-    ///
-    /// # Errors
-    ///
-    /// Any [`std::io::Error`] from writing `path`.
-    pub fn write_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut body = self.trace.join("\n");
-        body.push('\n');
-        std::fs::write(path, body)
-    }
+impl Scenario for FleetCounts {
+    const PREFIX: &'static str = "fleet-";
+    const FINAL_NEWLINE: bool = false;
 }
+
+/// Everything observable from one simulated fleet run.
+pub type FleetSimReport = Report<FleetCounts>;
 
 /// Breaker parameters for simulated replicas: open fast (2 consecutive
 /// failures) and cool down briefly, so a sweep exercises many
@@ -210,149 +169,46 @@ impl ReplicaLink for SimLink {
     fn reset(&mut self) {}
 }
 
-/// Lenient response mirror for auditing.
-#[derive(Debug, Deserialize)]
-struct WireResp {
-    proto: Option<String>,
-    id: Option<String>,
-    ok: Option<bool>,
-    error: Option<WireErr>,
-}
-
-#[derive(Debug, Deserialize)]
-struct WireErr {
-    kind: Option<String>,
-}
-
-fn fleet_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("mtperf-dst-fleet-{seed:016x}"))
-}
-
 /// Audits one dispatched response: exactly one well-formed line, id
 /// routed back to the issuing request, error kinds from the closed set.
 fn audit_response(
+    report: &mut FleetSimReport,
     si: usize,
     oi: usize,
     resp: &str,
     want_id: Option<&str>,
-    typed_errors: &mut u64,
-    violations: &mut Vec<String>,
 ) {
+    let at = format!("s={si} o={oi}");
     let newlines = resp.matches('\n').count();
     if newlines != 1 || !resp.ends_with('\n') {
-        violations.push(format!(
-            "s={si} o={oi}: expected exactly one response line, got {newlines}: {resp:?}"
+        report.violations.push(format!(
+            "{at}: expected exactly one response line, got {newlines}: {resp:?}"
         ));
         return;
     }
-    let line = resp.trim_end();
-    match serde_json::from_str::<WireResp>(line) {
-        Ok(w) => {
-            if w.proto.as_deref() != Some(protocol::PROTOCOL) {
-                violations.push(format!("s={si} o={oi}: missing proto marker: {line}"));
-            }
-            if w.ok.is_none() {
-                violations.push(format!("s={si} o={oi}: missing ok field: {line}"));
-            }
-            if w.id.as_deref() != want_id {
-                violations.push(format!(
-                    "s={si} o={oi}: response routed to the wrong request \
-                     (want id {want_id:?}, got {:?})",
-                    w.id
-                ));
-            }
-            if let Some(err) = w.error {
-                *typed_errors += 1;
-                match err.kind.as_deref() {
-                    Some(kind) if KNOWN_KINDS.contains(&kind) => {}
-                    other => violations.push(format!(
-                        "s={si} o={oi}: error kind {other:?} is not in the closed set"
-                    )),
-                }
-            }
-        }
-        Err(e) => violations.push(format!("s={si} o={oi}: unparsable response ({e}): {line}")),
-    }
+    report.audit_line(&at, resp.trim_end(), Route::Exact(want_id));
 }
 
-/// Runs one seeded fleet simulation. Seams are installed for the
-/// duration (shared lock with the single-daemon sim) and restored on
-/// exit, panics included.
+/// Runs one seeded fleet simulation. The harness installs the seams for
+/// the duration and restores them on exit, panics included.
 #[allow(clippy::too_many_lines)]
-pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
-    let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut report = FleetSimReport {
-        seed: cfg.seed,
-        sessions: cfg.sessions,
-        requests: 0,
-        responses: 0,
-        typed_errors: 0,
-        replica_kills: 0,
-        replica_restarts: 0,
-        circuit_opens: 0,
-        hedged_predicts: 0,
-        failovers: 0,
-        unavailable: 0,
-        broadcasts: 0,
-        fs_faults: 0,
-        violations: Vec::new(),
-        trace: Vec::new(),
+pub fn run_fleet_sim(cfg: &SimConfig) -> FleetSimReport {
+    let mut report = FleetSimReport::new(cfg);
+    let Some(h) = Harness::open(&mut report) else {
+        return report;
     };
-
-    // Clean per-seed working directory so replays see identical disk.
-    let dir = fleet_dir(cfg.seed);
-    let dir_str = dir.display().to_string();
-    let _ = std::fs::remove_dir_all(&dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        report
-            .violations
-            .push(format!("setup: cannot create {}: {e}", dir.display()));
-        return report;
-    }
-    let model_path = dir.join("model.json");
-    let alt_path = dir.join("alt.json");
-    let poison_path = dir.join("poison.json");
-    if let Err(e) = sim_model(2.0).save(&model_path) {
-        report
-            .violations
-            .push(format!("setup: cannot save model: {e}"));
-        return report;
-    }
-    if let Err(e) = sim_model(-3.0).save(&alt_path) {
-        report
-            .violations
-            .push(format!("setup: cannot save alt model: {e}"));
-        return report;
-    }
-    if let Err(e) = std::fs::write(&poison_path, b"{ definitely not a model }") {
-        report
-            .violations
-            .push(format!("setup: cannot write poison artifact: {e}"));
-        return report;
-    }
-
-    // Install the simulators; the guard restores everything on exit.
-    let fs_script = Arc::new(FaultScript::new());
-    clock::install(VirtualClock::auto());
-    rng::install(Arc::new(SimRng::seed_from_u64(derive_seed(
-        cfg.seed,
-        "fleet-jitter",
-    ))));
-    simfs::install(Arc::clone(&fs_script) as Arc<dyn simfs::FaultHook>);
-    parallel::set_global(Parallelism::Off);
-    SHUTDOWN.store(false, Ordering::SeqCst);
-    let _restore = SeamGuard::new();
-
-    let script = SimRng::seed_from_u64(derive_seed(cfg.seed, "fleet-script"));
-    let rows_rng = SimRng::seed_from_u64(derive_seed(cfg.seed, "fleet-rows"));
+    let (model_path, alt_path, poison_path) = (&h.model_path, &h.alt_path, &h.poison_path);
+    let fs_script = &h.faults;
+    let script = h.stream("script");
+    let rows_rng = h.stream("rows");
 
     // 2–4 replicas, each with its own manifest (crash-survivable state).
     let n_replicas = 2 + script.gen_index(3);
     let mut states: Vec<Arc<Mutex<ReplicaState>>> = Vec::with_capacity(n_replicas);
     let mut slots: Vec<ReplicaSlot> = Vec::with_capacity(n_replicas);
     for i in 0..n_replicas {
-        let manifest_path = dir.join(format!("registry-r{i}.json"));
-        let reg = match Registry::open(&model_path, Some(&manifest_path)) {
+        let manifest_path = h.dir.join(format!("registry-r{i}.json"));
+        let reg = match Registry::open(model_path, Some(&manifest_path)) {
             Ok(r) => r,
             Err(e) => {
                 report
@@ -397,7 +253,7 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
             match Registry::open(&st.model_path, Some(&st.manifest_path)) {
                 Ok(reg) => {
                     st.shared = Some(new_shared(reg));
-                    report.replica_restarts += 1;
+                    report.counts.replica_restarts += 1;
                     true
                 }
                 Err(e) => {
@@ -416,7 +272,7 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
             let r = script.gen_index(n_replicas);
             let was_alive = lock_state(&states[r]).shared.take().is_some();
             if was_alive {
-                report.replica_kills += 1;
+                report.counts.replica_kills += 1;
                 events.push_str(&format!(" kill=r{r}"));
             }
         }
@@ -451,7 +307,7 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
             let mut downed = 0;
             for (r, state) in states.iter().enumerate() {
                 if r != survivor && lock_state(state).shared.take().is_some() {
-                    report.replica_kills += 1;
+                    report.counts.replica_kills += 1;
                     downed += 1;
                 }
             }
@@ -514,9 +370,9 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
             } else if roll < 0.85 {
                 let id = format!("s{si}-o{oi}");
                 let target = if script.gen_bool(0.4) {
-                    &poison_path
+                    poison_path
                 } else {
-                    &alt_path
+                    alt_path
                 };
                 (
                     format!(
@@ -551,14 +407,7 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
             let (resp, _control) = dispatch_line(&fleet, &line);
             report.requests += 1;
             report.responses += 1;
-            audit_response(
-                si,
-                oi,
-                &resp,
-                id.as_deref(),
-                &mut report.typed_errors,
-                &mut report.violations,
-            );
+            audit_response(&mut report, si, oi, &resp, id.as_deref());
             out_all.push_str(&resp);
 
             for (i, (pre_state, pre_probes, pre_ex)) in pre.iter().enumerate() {
@@ -583,7 +432,7 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
         report.trace.push(format!(
             "s={si} ops={n_ops} alive={alive}/{n_replicas}{events} t_us={} out_hash={:016x}",
             clock::now().as_micros(),
-            mtperf_obs::fsio::fnv1a_64(sanitize(out_all.as_bytes(), &dir_str).as_bytes()),
+            h.out_hash(out_all.as_bytes()),
         ));
     }
 
@@ -605,29 +454,31 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
             }
         }
     }
-    report.circuit_opens = fleet.circuit_opens();
-    report.hedged_predicts = fleet.stats.hedged_predicts.load(Ordering::Relaxed);
-    report.failovers = fleet.stats.failovers.load(Ordering::Relaxed);
-    report.unavailable = fleet.stats.unavailable.load(Ordering::Relaxed);
-    report.broadcasts = fleet.stats.broadcasts.load(Ordering::Relaxed);
-    report.fs_faults = fs_script.injected();
-    report.trace.push(format!(
+    let c = &mut report.counts;
+    c.circuit_opens = fleet.circuit_opens();
+    c.hedged_predicts = fleet.stats.hedged_predicts.load(Ordering::Relaxed);
+    c.failovers = fleet.stats.failovers.load(Ordering::Relaxed);
+    c.unavailable = fleet.stats.unavailable.load(Ordering::Relaxed);
+    c.broadcasts = fleet.stats.broadcasts.load(Ordering::Relaxed);
+    c.fs_faults = fs_script.injected();
+    let c = &report.counts;
+    let end = format!(
         "end t_us={} requests={} responses={} typed_errors={} kills={} restarts={} \
          circuit_opens={} hedged={} failovers={} unavailable={} broadcasts={} fs_faults={}",
         clock::now().as_micros(),
         report.requests,
         report.responses,
         report.typed_errors,
-        report.replica_kills,
-        report.replica_restarts,
-        report.circuit_opens,
-        report.hedged_predicts,
-        report.failovers,
-        report.unavailable,
-        report.broadcasts,
-        report.fs_faults,
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+        c.replica_kills,
+        c.replica_restarts,
+        c.circuit_opens,
+        c.hedged_predicts,
+        c.failovers,
+        c.unavailable,
+        c.broadcasts,
+        c.fs_faults,
+    );
+    report.trace.push(end);
     report
 }
 
@@ -637,7 +488,7 @@ mod tests {
 
     #[test]
     fn small_fleet_sim_passes_and_replays_bit_identically() {
-        let cfg = FleetSimConfig {
+        let cfg = SimConfig {
             seed: 4007,
             sessions: 40,
         };
@@ -654,24 +505,27 @@ mod tests {
         // A moderate run must actually exercise the failure machinery —
         // a fleet sim that never kills a replica or opens a circuit is a
         // silently weakened harness.
-        let report = run_fleet_sim(&FleetSimConfig {
+        let report = run_fleet_sim(&SimConfig {
             seed: 4100,
             sessions: 160,
         });
         assert!(report.passed(), "violations: {:#?}", report.violations);
-        assert!(report.replica_kills > 0, "no replica kills simulated");
-        assert!(report.circuit_opens > 0, "no circuit ever opened");
-        assert!(report.failovers > 0, "no failover ever happened");
+        assert!(
+            report.counts.replica_kills > 0,
+            "no replica kills simulated"
+        );
+        assert!(report.counts.circuit_opens > 0, "no circuit ever opened");
+        assert!(report.counts.failovers > 0, "no failover ever happened");
         assert!(report.typed_errors > 0, "no typed error surfaced");
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run_fleet_sim(&FleetSimConfig {
+        let a = run_fleet_sim(&SimConfig {
             seed: 5001,
             sessions: 30,
         });
-        let b = run_fleet_sim(&FleetSimConfig {
+        let b = run_fleet_sim(&SimConfig {
             seed: 5002,
             sessions: 30,
         });

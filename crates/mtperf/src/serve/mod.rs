@@ -49,7 +49,6 @@ pub mod dst;
 pub mod engine;
 pub mod fleet;
 pub mod protocol;
-pub mod queue;
 pub mod registry;
 pub mod router;
 pub mod transport;

@@ -539,7 +539,7 @@ impl CompiledTree {
     }
 
     /// Panic-isolated batch prediction: row blocks fan out through
-    /// [`try_par_map`], results return in input order, and a panicking
+    /// [`try_par_fill`], results return in input order, and a panicking
     /// worker surfaces as [`MtreeError::Linalg`] (worker panic) instead of
     /// unwinding.
     ///

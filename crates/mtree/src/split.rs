@@ -181,7 +181,7 @@ pub fn best_split_with(
         sd_total,
     };
     let attrs: Vec<usize> = (0..data.n_attrs()).collect();
-    let per_attr = par_map(par, &attrs, 1, |&attr| best_split_for_attr(&ctx, attr));
+    let per_attr = par_map(par, &attrs, |&attr| best_split_for_attr(&ctx, attr));
 
     mtperf_obs::add("mtree.split_searches", 1);
     mtperf_obs::add(

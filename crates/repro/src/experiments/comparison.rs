@@ -20,7 +20,7 @@ pub fn run(ctx: &Context) {
     // The six-model line-up cross-validates concurrently; results merge in
     // suite order, identical at any thread budget.
     let learners = standard_suite(&ctx.params);
-    let rows: Vec<(String, Metrics)> = par_map(parallel::global(), &learners, 1, |learner| {
+    let rows: Vec<(String, Metrics)> = par_map(parallel::global(), &learners, |learner| {
         eprintln!("[comparison] cross-validating {}...", learner.name());
         let cv = cross_validate(learner.as_ref(), &ctx.data, k, seed).expect("cv succeeds");
         (learner.name().to_string(), cv.pooled)

@@ -35,28 +35,32 @@ fn thousand_session_soak_holds_all_invariants() {
         "typed errors: {}",
         report.typed_errors
     );
-    assert!(report.restarts > 10, "restarts: {}", report.restarts);
     assert!(
-        report.faults_injected > 10,
+        report.counts.restarts > 10,
+        "restarts: {}",
+        report.counts.restarts
+    );
+    assert!(
+        report.counts.faults_injected > 10,
         "fs faults: {}",
-        report.faults_injected
+        report.counts.faults_injected
     );
     // ... including the multi-tenant surfaces added with protocol v2.
     assert!(
-        report.multi_conn_sessions > 100,
+        report.counts.multi_conn_sessions > 100,
         "multi-connection sessions: {}",
-        report.multi_conn_sessions
+        report.counts.multi_conn_sessions
     );
     assert!(
-        report.registry_ops > 100,
+        report.counts.registry_ops > 100,
         "registry ops: {}",
-        report.registry_ops
+        report.counts.registry_ops
     );
     assert!(
-        report.cache_hits + report.cache_misses > 100,
+        report.counts.cache_hits + report.counts.cache_misses > 100,
         "cache lookups: {} hits + {} misses",
-        report.cache_hits,
-        report.cache_misses
+        report.counts.cache_hits,
+        report.counts.cache_misses
     );
 }
 
@@ -77,8 +81,8 @@ fn failing_seed_replay_is_bit_identical() {
     assert_eq!(first.requests, second.requests);
     assert_eq!(first.responses, second.responses);
     assert_eq!(first.typed_errors, second.typed_errors);
-    assert_eq!(first.restarts, second.restarts);
-    assert_eq!(first.faults_injected, second.faults_injected);
+    assert_eq!(first.counts.restarts, second.counts.restarts);
+    assert_eq!(first.counts.faults_injected, second.counts.faults_injected);
 
     let other = run_sim(&SimConfig {
         seed: 20_070_402,

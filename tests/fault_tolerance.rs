@@ -79,7 +79,7 @@ fn repair_mode_cv_stays_within_tolerance_of_clean_run() {
 #[test]
 fn panicking_worker_is_reported_not_aborted() {
     let items: Vec<usize> = (0..64).collect();
-    let err = try_par_map(Parallelism::Fixed(4), &items, 1, |&x| {
+    let err = try_par_map(Parallelism::Fixed(4), &items, |&x| {
         if x == 17 {
             panic!("injected fault");
         }

@@ -7,7 +7,8 @@
 //! circuits, or never hedges a predict is a silently weakened harness
 //! even when every individual seed "passes".
 
-use mtperf::serve::fleet::dst::{run_fleet_sim, FleetSimConfig};
+use mtperf::serve::dst::SimConfig;
+use mtperf::serve::fleet::dst::run_fleet_sim;
 
 const SOAK_SEEDS: u64 = 24;
 const SOAK_BASE: u64 = 9_000;
@@ -21,7 +22,7 @@ fn sweep_clears_the_failover_coverage_floors() {
     let mut failovers = 0u64;
     let mut unavailable = 0u64;
     for seed in SOAK_BASE..SOAK_BASE + SOAK_SEEDS {
-        let report = run_fleet_sim(&FleetSimConfig {
+        let report = run_fleet_sim(&SimConfig {
             seed,
             sessions: SOAK_SESSIONS,
         });
@@ -36,11 +37,11 @@ fn sweep_clears_the_failover_coverage_floors() {
             report.requests, report.responses,
             "seed {seed}: request/response accounting diverged"
         );
-        kills += report.replica_kills;
-        circuit_opens += report.circuit_opens;
-        hedged += report.hedged_predicts;
-        failovers += report.failovers;
-        unavailable += report.unavailable;
+        kills += report.counts.replica_kills;
+        circuit_opens += report.counts.circuit_opens;
+        hedged += report.counts.hedged_predicts;
+        failovers += report.counts.failovers;
+        unavailable += report.counts.unavailable;
     }
     assert!(kills > 10, "only {kills} replica kills across the sweep");
     assert!(
@@ -60,7 +61,7 @@ fn sweep_clears_the_failover_coverage_floors() {
 
 #[test]
 fn failing_heavy_seed_replays_byte_identically() {
-    let cfg = FleetSimConfig {
+    let cfg = SimConfig {
         seed: SOAK_BASE + 3,
         sessions: 120,
     };
@@ -69,7 +70,7 @@ fn failing_heavy_seed_replays_byte_identically() {
     assert!(a.passed(), "violations: {:#?}", a.violations);
     assert_eq!(a.trace, b.trace, "same seed must replay byte-identically");
     assert_eq!(a.trace_hash(), b.trace_hash());
-    assert_eq!(a.replica_kills, b.replica_kills);
-    assert_eq!(a.hedged_predicts, b.hedged_predicts);
-    assert_eq!(a.failovers, b.failovers);
+    assert_eq!(a.counts.replica_kills, b.counts.replica_kills);
+    assert_eq!(a.counts.hedged_predicts, b.counts.hedged_predicts);
+    assert_eq!(a.counts.failovers, b.counts.failovers);
 }
