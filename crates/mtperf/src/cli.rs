@@ -144,7 +144,7 @@ COMMANDS
              promote, optional manifest persistence via --registry),
              per-tenant admission quotas with fair round-robin dispatch,
              prediction cache for repeated sections, per-request
-             deadlines, degraded fallback, atomic (kill-safe) saves,
+             deadlines, validated model loads, atomic (kill-safe) saves,
              SIGTERM drain-then-exit. --socket/--tcp alone disable the
              stdio session; add --stdio to serve it alongside.
              --keep-versions N bounds each model's rollback history:

@@ -16,8 +16,8 @@
 //!   hit requires an exact match, so a hash collision degrades to a miss
 //!   instead of serving another request's predictions.
 //! * Only **non-degraded** successful predictions are cached. A degraded
-//!   (interpreted-fallback) result is bit-identical anyway, but caching
-//!   it would mask the `degraded` health flag on later hits.
+//!   (last-known-good) result is a correct prediction of that version,
+//!   but caching it would mask the `degraded` health flag on later hits.
 //!
 //! Eviction is insertion-order FIFO at a fixed capacity: deterministic
 //! under DST replay (no clock, no randomness) and cheap. Only small

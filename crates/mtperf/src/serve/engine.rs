@@ -1,41 +1,36 @@
-//! The engine layer: validated loads and the per-request degradation
-//! ladder.
+//! The engine layer: validated loads and the one compiled predict path.
 //!
 //! # Validated loads
 //!
 //! A model only becomes servable after [`load_and_validate`]: parse (the
-//! persistence layer already verifies the envelope checksum), compile, and
-//! **smoke-predict** — score one all-zero row through the compiled tree and
-//! require bit-identical agreement with the interpreted walk plus a finite
-//! result. A file that fails any step never reaches the hot path. Model
-//! *lifecycle* — which versions are resident, which is active, hot reload
-//! and promote with last-known-good fallback — lives one layer up, in
-//! [`super::registry`]; every path into that layer funnels through
-//! [`load_and_validate`].
+//! persistence layer verifies the envelope checksum and the tree's
+//! structure — attribute indices in range, finite numbers, leaf ids in
+//! order), compile, and **smoke-predict** — score one all-zero row through
+//! the compiled tree and require bit-identical agreement with the
+//! interpreted walk plus a finite result. A file that fails any step never
+//! reaches the hot path. Model *lifecycle* — which versions are resident,
+//! which is active, hot reload and promote with last-known-good fallback —
+//! lives one layer up, in [`super::registry`]; every path into that layer
+//! funnels through [`load_and_validate`].
 //!
-//! # Per-request degradation ladder
+//! # Per-request prediction
 //!
-//! [`predict`] tries, in order:
-//!
-//! 1. the compiled batch path (parallel, cancellable) — the fast path;
-//! 2. the interpreted per-row walk, panic-isolated and deadline-checked
-//!    between rows — bit-identical output by the compiled path's own
-//!    contract, just slower;
-//! 3. a structured `internal` failure naming both errors.
-//!
-//! Deadline expiry is not a fault: it short-circuits the ladder and
-//! reports [`PredictOutcome::DeadlineExceeded`] immediately.
+//! [`predict`] runs the compiled batch path (parallel, cancellable).
+//! Deadline expiry reports [`PredictOutcome::DeadlineExceeded`]; any other
+//! compiled-path error is a structured [`PredictOutcome::Failed`]. There is
+//! no slower fallback: the router only admits finite rows of the model's
+//! width, and a validated tree cannot panic in the compiled walk. A
+//! `degraded` answer comes only from the registry serving a last-known-good
+//! version.
 
-use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 
 use mtperf_linalg::{CancelToken, Matrix, Parallelism};
 use mtperf_mtree::{CompiledTree, ModelTree, MtreeError};
 
-/// A validated, servable model: the source tree (for the interpreted
-/// fallback) plus its compiled form (the fast path).
+/// A validated, servable model: the source tree plus its compiled form.
 pub struct LoadedModel {
-    /// Interpreted form, kept for the degradation ladder.
+    /// Interpreted form: the artifact `save` writes back.
     pub tree: ModelTree,
     /// Compiled form used by the worker hot path.
     pub compiled: CompiledTree,
@@ -54,7 +49,7 @@ impl LoadedModel {
 ///
 /// Returns a human-readable reason (typed persistence errors render
 /// through their `Display`) when the file is missing, torn, corrupt, a
-/// wrong version, or fails the smoke prediction.
+/// wrong version, structurally invalid, or fails the smoke prediction.
 pub fn load_and_validate(path: &Path) -> Result<LoadedModel, String> {
     let tree = ModelTree::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let compiled = tree.compile();
@@ -63,8 +58,7 @@ pub fn load_and_validate(path: &Path) -> Result<LoadedModel, String> {
     let got = compiled
         .try_predict_batch_with(&rows, Parallelism::Off)
         .map_err(|e| format!("smoke prediction failed: {e}"))?;
-    let want = panic::catch_unwind(AssertUnwindSafe(|| tree.predict(&zeros)))
-        .map_err(|_| "smoke prediction panicked in the interpreted walk".to_string())?;
+    let want = tree.predict(&zeros);
     if got.len() != 1 || got[0].to_bits() != want.to_bits() {
         return Err("smoke prediction disagrees with the interpreted walk".to_string());
     }
@@ -74,47 +68,21 @@ pub fn load_and_validate(path: &Path) -> Result<LoadedModel, String> {
     Ok(LoadedModel { tree, compiled })
 }
 
-/// Outcome of one prediction request after the degradation ladder.
+/// Outcome of one prediction request.
 #[derive(Debug, PartialEq)]
 pub enum PredictOutcome {
-    /// Predictions in input order; `degraded` when the interpreted
-    /// fallback produced them.
+    /// Predictions in input order.
     Ok {
         /// Predicted values, one per input row.
         predictions: Vec<f64>,
-        /// Whether the fallback path answered.
-        degraded: bool,
     },
     /// The request's deadline fired before compute finished.
     DeadlineExceeded,
-    /// Every rung of the ladder failed.
+    /// The compiled path failed.
     Failed(String),
 }
 
-enum InterpFail {
-    Deadline,
-    Error(String),
-}
-
-fn interpreted_predict(
-    model: &LoadedModel,
-    rows: &Matrix,
-    token: &CancelToken,
-) -> Result<Vec<f64>, InterpFail> {
-    let mut out = Vec::with_capacity(rows.rows());
-    for i in 0..rows.rows() {
-        if token.is_cancelled() {
-            return Err(InterpFail::Deadline);
-        }
-        let row = rows.row(i);
-        let p = panic::catch_unwind(AssertUnwindSafe(|| model.tree.predict(row)))
-            .map_err(|_| InterpFail::Error(format!("interpreted walk panicked on row {i}")))?;
-        out.push(p);
-    }
-    Ok(out)
-}
-
-/// Scores `rows` through the degradation ladder (see the module docs).
+/// Scores `rows` through the compiled tree (see the module docs).
 pub fn predict(
     model: &LoadedModel,
     rows: &Matrix,
@@ -122,21 +90,9 @@ pub fn predict(
     token: &CancelToken,
 ) -> PredictOutcome {
     match model.compiled.try_predict_batch_cancel(rows, par, token) {
-        Ok(predictions) => PredictOutcome::Ok {
-            predictions,
-            degraded: false,
-        },
+        Ok(predictions) => PredictOutcome::Ok { predictions },
         Err(MtreeError::Cancelled) => PredictOutcome::DeadlineExceeded,
-        Err(primary) => match interpreted_predict(model, rows, token) {
-            Ok(predictions) => PredictOutcome::Ok {
-                predictions,
-                degraded: true,
-            },
-            Err(InterpFail::Deadline) => PredictOutcome::DeadlineExceeded,
-            Err(InterpFail::Error(secondary)) => PredictOutcome::Failed(format!(
-                "compiled path: {primary}; interpreted fallback: {secondary}"
-            )),
-        },
+        Err(e) => PredictOutcome::Failed(format!("compiled path: {e}")),
     }
 }
 
@@ -191,11 +147,7 @@ mod tests {
         let row = [1.0, 2.0, 3.0];
         let rows = Matrix::from_rows(&[&row]).unwrap();
         match predict(&model, &rows, Parallelism::Off, &CancelToken::new()) {
-            PredictOutcome::Ok {
-                predictions,
-                degraded,
-            } => {
-                assert!(!degraded);
+            PredictOutcome::Ok { predictions } => {
                 assert_eq!(predictions[0].to_bits(), tree.predict(&row).to_bits());
             }
             other => panic!("unexpected outcome {other:?}"),
@@ -242,40 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn compiled_failure_falls_back_to_interpreted_as_degraded() {
-        // A deliberately inconsistent pair: the compiled form demands more
-        // attributes than the interpreted tree, so the compiled rung fails
-        // with RowLengthMismatch and the interpreted rung answers.
-        let model = LoadedModel {
-            tree: tiny_tree(2),
-            compiled: tiny_tree(5).compile(),
-        };
-        let row = [3.0, 1.0];
-        let rows = Matrix::from_rows(&[&row]).unwrap();
-        match predict(&model, &rows, Parallelism::Off, &CancelToken::new()) {
-            PredictOutcome::Ok {
-                predictions,
-                degraded,
-            } => {
-                assert!(degraded, "fallback answers must be marked degraded");
-                assert_eq!(predictions[0].to_bits(), model.tree.predict(&row).to_bits());
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
-
-    #[test]
     fn whole_ladder_failing_is_a_structured_error() {
         let model = LoadedModel {
             tree: tiny_tree(5),
             compiled: tiny_tree(5).compile(),
         };
-        // One column: too narrow for both rungs.
+        // One column: too narrow for the compiled path. The router never
+        // admits such rows; the engine still answers with a typed failure.
         let rows = Matrix::from_rows(&[&[1.0][..]]).unwrap();
         match predict(&model, &rows, Parallelism::Off, &CancelToken::new()) {
             PredictOutcome::Failed(msg) => {
                 assert!(msg.contains("compiled path"), "{msg}");
-                assert!(msg.contains("interpreted fallback"), "{msg}");
             }
             other => panic!("unexpected outcome {other:?}"),
         }

@@ -14,8 +14,8 @@
 //! * [`registry`] — many named models × validated versions with
 //!   `load`/`promote`/`rollback`/`list`, last-known-good semantics, and
 //!   a crash-safe manifest (`--registry <path>`).
-//! * [`engine`] — validated loads and the per-request degradation ladder
-//!   (compiled → interpreted → typed failure).
+//! * [`engine`] — validated loads (checksum, tree structure, smoke
+//!   predict) and the one compiled predict path.
 //!
 //! Robustness properties, each pinned by tests:
 //!
@@ -28,8 +28,8 @@
 //!   expensive request returns `deadline_exceeded` instead of hanging a
 //!   worker.
 //! * **Graceful degradation** — a poisoned hot reload or promote keeps
-//!   the last-known-good version serving; a compiled-path failure falls
-//!   back to the interpreted walk. Both mark responses `degraded: true`.
+//!   the last-known-good version serving, and its responses carry
+//!   `degraded: true`.
 //! * **Prediction cache** — repeated small batches answer from a
 //!   FNV-1a-keyed memo ([`cache`]), bit-identical to a fresh predict,
 //!   with hit/miss counters in `health`.
@@ -250,7 +250,7 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Answers one dequeued job: deadline check, degradation ladder, cache
+/// Answers one dequeued job: deadline check, compiled predict, cache
 /// fill, response. The body of [`worker_loop`], extracted so the
 /// deterministic-simulation harness ([`dst`]) can drain the queue step by
 /// step on a single logical thread via [`FairQueue::try_pop`].
@@ -270,12 +270,8 @@ pub(crate) fn answer(shared: &Arc<Shared>, job: Job) {
         return;
     }
     match engine::predict(&job.model, &job.rows, parallel::global(), &job.token) {
-        engine::PredictOutcome::Ok {
-            predictions,
-            degraded: ladder_degraded,
-        } => {
-            let degraded = ladder_degraded || job.model_degraded;
-            if degraded {
+        engine::PredictOutcome::Ok { predictions } => {
+            if job.model_degraded {
                 shared
                     .stats
                     .degraded_responses
@@ -290,7 +286,7 @@ pub(crate) fn answer(shared: &Arc<Shared>, job: Job) {
             }
             send(
                 &job.writer,
-                &Response::predictions(job.id, predictions, degraded),
+                &Response::predictions(job.id, predictions, job.model_degraded),
             );
         }
         engine::PredictOutcome::DeadlineExceeded => {

@@ -44,8 +44,9 @@
 //! and `degraded`. At most one of `predictions`, `error`, `health`, or
 //! `models` is non-null; the others serialize as `null` (the vendored
 //! serde emits every field). `degraded: true` means the answer came from a
-//! fallback path — the daemon is alive but not at full health (see
-//! [`crate::serve::engine`]).
+//! last-known-good version because a reload or promote of the target model
+//! failed — the daemon is alive but not at full health (see
+//! [`crate::serve::registry`]).
 //!
 //! Error `kind`s are machine-readable and closed: [`E_BAD_REQUEST`],
 //! [`E_OVERLOADED`], [`E_DEADLINE`], [`E_SHUTTING_DOWN`],
@@ -97,7 +98,9 @@ pub const E_UNKNOWN_MODEL: &str = "unknown_model";
 pub const E_PROMOTE_FAILED: &str = "promote_failed";
 /// A rollback had no previously-active validated version to land on.
 pub const E_ROLLBACK_FAILED: &str = "rollback_failed";
-/// Every fallback in the degradation ladder failed.
+/// The compiled predict path failed on an admitted request. Validated
+/// loads and router checks make this unreachable in practice; it stays a
+/// typed error rather than a dropped connection.
 pub const E_INTERNAL: &str = "internal";
 /// No replica can serve the request right now (fleet brown-out): every
 /// replica holding the model is down, circuit-open, or unreachable. The
@@ -139,7 +142,8 @@ pub struct ErrorBody {
 pub struct Health {
     /// Accepting new work (model loaded, not draining).
     pub ready: bool,
-    /// Serving from a fallback path (e.g. after a poisoned reload).
+    /// Serving a last-known-good version after a poisoned reload or
+    /// promote.
     pub degraded: bool,
     /// Model file the daemon (re)loads from and saves to.
     pub model: String,
@@ -155,7 +159,7 @@ pub struct Health {
     pub overloaded: u64,
     /// Requests that missed their deadline.
     pub deadline_misses: u64,
-    /// Responses answered via a degraded fallback path.
+    /// Responses answered from a last-known-good version.
     pub degraded_responses: u64,
     /// Successful hot reloads.
     pub reloads: u64,
@@ -225,7 +229,7 @@ pub struct Response {
     pub id: Option<String>,
     /// Whether the operation succeeded.
     pub ok: bool,
-    /// Whether a fallback path produced this answer.
+    /// Whether a last-known-good version produced this answer.
     pub degraded: bool,
     /// Predicted CPI per input row (in input order), for `predict`.
     pub predictions: Option<Vec<f64>>,

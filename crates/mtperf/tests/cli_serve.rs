@@ -1,6 +1,11 @@
 //! End-to-end contracts of `mtperf serve`, driven through the real binary:
 //!
 //! * startup failures exit 69 (`EX_UNAVAILABLE`), usage errors exit 2;
+//! * a structurally invalid model (split on a missing attribute, no
+//!   checksum to catch it) is a typed exit — 65 for the model commands,
+//!   69 for `serve` — never a panic;
+//! * a request nested deeper than the JSON parser's limit is a
+//!   `bad_request`, not a stack overflow that aborts the daemon;
 //! * a lockstep stdio session answers health/predict/reload/save/shutdown,
 //!   bit-identically across repeats, and refuses malformed requests with
 //!   `bad_request` instead of dropping the connection;
@@ -310,6 +315,67 @@ fn stdio_session_serves_health_predict_and_shutdown() {
     let (status, err) = serve.finish();
     assert!(status.success(), "exit: {status:?}, stderr: {err}");
     assert!(err.contains("drained"), "{err}");
+}
+
+/// Saves `model` without its checksum header and with the root split's
+/// attribute set to 99 — still a loadable version-1 file, but a tree whose
+/// routing indexes past every row.
+fn attr99_model(fx: &Fixture) -> String {
+    let text = std::fs::read_to_string(&fx.model).expect("read model");
+    let (_, body) = text.split_once('\n').expect("v2 header line");
+    let at = body.find("\"attr\": ").expect("fixture model has a split") + 8;
+    let end = at + body[at..].find(',').expect("attr value");
+    let bad = fx.dir.join("attr99.json").display().to_string();
+    std::fs::write(&bad, format!("{}99{}", &body[..at], &body[end..])).expect("write");
+    bad
+}
+
+#[test]
+fn structurally_invalid_model_is_a_typed_exit_for_every_command() {
+    let fx = Fixture::new("attr99");
+    let bad = attr99_model(&fx);
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/sweep_smoke.json"
+    );
+    let commands: [&[&str]; 5] = [
+        &["predict", "--model", &bad, "--data", &fx.csv],
+        &["show", "--model", &bad],
+        &["show", "--model", &bad, "--rules"],
+        &["analyze", "--model", &bad, "--data", &fx.csv],
+        &["sweep", "--spec", spec, "--model", &bad, "--data", &fx.csv],
+    ];
+    for args in commands {
+        let out = run(args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(65), "{args:?}: {err}");
+        assert!(err.contains("model structure invalid"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    let out = run(&["serve", "--model", &bad]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(69), "{err}");
+    assert_eq!(err.lines().count(), 1, "one-line reason expected: {err}");
+    assert!(err.contains("attribute 99"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn deeply_nested_request_is_a_bad_request() {
+    let fx = Fixture::new("deep");
+    let mut serve = Serve::start(&["--model", &fx.model]);
+    let deep = format!(
+        r#"{{"op":"predict","id":"deep","rows":{}{}}}"#,
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let resp = serve.request(&deep);
+    assert!(resp.contains("\"kind\":\"bad_request\""), "{resp}");
+    assert!(resp.contains("recursion limit exceeded"), "{resp}");
+    let health = serve.request(r#"{"op":"health","id":"after"}"#);
+    assert!(health.contains("\"ready\":true"), "{health}");
+    let (status, err) = serve.finish();
+    assert!(status.success(), "exit: {status:?}, stderr: {err}");
 }
 
 #[test]

@@ -61,7 +61,6 @@ use mtperf_linalg::parallel::{self, try_par_fill, CancelToken, Parallelism};
 use mtperf_linalg::{LinalgError, Matrix};
 
 use crate::node::Node;
-use crate::rules::RuleSet;
 use crate::{LinearModel, ModelTree, MtreeError};
 
 /// Rows per cache block and per parallel work item: a block's working set
@@ -871,145 +870,6 @@ impl ModelTree {
     }
 }
 
-/// A [`RuleSet`] flattened for batch inference: rule conditions packed into
-/// parallel arrays (first-match evaluation order preserved), rule models in
-/// a shared [`ModelTable`]. Bit-identical to [`RuleSet::predict`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledRules {
-    n_attrs: usize,
-    /// `len() == n_rules + 1`; rule `r` owns conditions
-    /// `rule_start[r]..rule_start[r + 1]`.
-    rule_start: Vec<u32>,
-    cond_attr: Vec<u32>,
-    cond_threshold: Vec<f64>,
-    /// `true` for `attr > threshold`, `false` for `attr <= threshold`.
-    cond_greater: Vec<bool>,
-    /// One model per rule, in rule order.
-    models: ModelTable,
-}
-
-impl CompiledRules {
-    fn from_rules(rules: &RuleSet) -> CompiledRules {
-        let mut c = CompiledRules {
-            n_attrs: rules.attr_names().len(),
-            rule_start: vec![0],
-            cond_attr: Vec::new(),
-            cond_threshold: Vec::new(),
-            cond_greater: Vec::new(),
-            models: ModelTable::new(),
-        };
-        for rule in rules.rules() {
-            for cond in &rule.conditions {
-                c.cond_attr.push(cond.attr as u32);
-                c.cond_threshold.push(cond.threshold);
-                c.cond_greater.push(cond.greater);
-            }
-            c.rule_start.push(c.cond_attr.len() as u32);
-            c.models.push(&rule.model);
-        }
-        c
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.models.n_models()
-    }
-
-    /// `true` when there are no rules.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Attribute count of the source rule set.
-    pub fn n_attrs(&self) -> usize {
-        self.n_attrs
-    }
-
-    /// Index of the first rule matching `row`, or `None`.
-    #[inline]
-    fn first_match(&self, row: &[f64]) -> Option<usize> {
-        'rules: for r in 0..self.len() {
-            let start = self.rule_start[r] as usize;
-            let end = self.rule_start[r + 1] as usize;
-            for c in start..end {
-                let v = row[self.cond_attr[c] as usize];
-                let holds = if self.cond_greater[c] {
-                    v > self.cond_threshold[c]
-                } else {
-                    v <= self.cond_threshold[c]
-                };
-                if !holds {
-                    continue 'rules;
-                }
-            }
-            return Some(r);
-        }
-        None
-    }
-
-    /// Predicts via the first matching rule — bit-identical to
-    /// [`RuleSet::predict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no rule matches, like the interpreted rule set (impossible
-    /// for tree-derived rules over finite rows).
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        let r = self
-            .first_match(row)
-            .expect("tree-derived rules partition the input space");
-        self.models.eval(r, row)
-    }
-
-    /// Predicts every row of `rows` with the process-wide default thread
-    /// budget. Bit-identical to per-row [`RuleSet::predict`] at any
-    /// [`Parallelism`] setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is narrower than the attribute count or no rule
-    /// matches a row.
-    pub fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
-        self.predict_batch_with(rows, parallel::global())
-    }
-
-    /// [`CompiledRules::predict_batch`] with an explicit thread budget.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`CompiledRules::predict_batch`].
-    pub fn predict_batch_with(&self, rows: &Matrix, par: Parallelism) -> Vec<f64> {
-        assert!(
-            rows.cols() >= self.n_attrs,
-            "matrix has {} columns, rules expect {}",
-            rows.cols(),
-            self.n_attrs
-        );
-        let n = rows.rows();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Same in-place block fill as the tree path: workers write their
-        // slice of the output directly, no per-block buffers or flatten.
-        let mut out = vec![0.0f64; n];
-        try_par_fill(par, &mut out, ROW_BLOCK, None, |start, block| {
-            for (i, v) in block.iter_mut().enumerate() {
-                *v = self.predict(rows.row(start + i));
-            }
-        })
-        .unwrap_or_else(|e: LinalgError| panic!("batch rule prediction failed: {e}"));
-        out
-    }
-}
-
-impl RuleSet {
-    /// Flattens the rule list into the compiled batch-inference form.
-    /// Predictions are bit-identical to [`RuleSet::predict`].
-    pub fn compile(&self) -> CompiledRules {
-        CompiledRules::from_rules(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1162,23 +1022,5 @@ mod tests {
         // Cloning carries calibration without tying identity to it.
         let clone = c.clone();
         assert_eq!(clone, c);
-    }
-
-    #[test]
-    fn compiled_rules_match_rule_set() {
-        let d = piecewise(300);
-        let tree = fit(&d, false);
-        let rules = RuleSet::from_tree(&tree);
-        let c = rules.compile();
-        assert_eq!(c.len(), rules.len());
-        assert!(!c.is_empty());
-        assert_eq!(c.n_attrs(), 3);
-        let m = d.to_matrix();
-        let batch = c.predict_batch_with(&m, Parallelism::Fixed(4));
-        for (i, b) in batch.iter().enumerate() {
-            let row = d.row(i);
-            assert_eq!(c.predict(&row).to_bits(), rules.predict(&row).to_bits());
-            assert_eq!(b.to_bits(), rules.predict(&row).to_bits());
-        }
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! # On-disk format
 //!
-//! Version 2 (written by [`ModelTree::to_json`] / [`RuleSet::to_json`]) is an
-//! integrity header line followed by the version-1 body:
+//! Version 2 (written by [`ModelTree::to_json`]) is an integrity header line
+//! followed by the version-1 body:
 //!
 //! ```text
 //! {"format":"mtperf-model-tree","version":2,"checksum":"fnv1a64:<16 hex>","payload_len":N}
@@ -26,9 +26,19 @@
 //! the tree — or worse, a silently different model. Version-1 dumps (no
 //! header line) still load.
 //!
+//! # Structural validation
+//!
+//! A checksum proves the bytes are the ones that were written, not that they
+//! describe a usable tree: a headerless version-1 dump carries no checksum
+//! at all. Every load therefore also checks the tree's structure (attribute
+//! indices in range, finite numbers, leaf ids in order, valid parameters)
+//! and reports a failure as [`PersistError::Invalid`], so no loaded tree can
+//! panic in prediction, rendering or analysis. Depth needs no separate
+//! bound: the JSON parser's nesting limit caps it.
+//!
 //! # Crash safety
 //!
-//! [`ModelTree::save`] and [`RuleSet::save`] write through
+//! [`ModelTree::save`] writes through
 //! [`mtperf_obs::fsio::atomic_write`]: temp file in the destination
 //! directory, fsync, rename, fsync the directory. A crash — including
 //! `kill -9` — mid-save leaves either the previous complete file or the new
@@ -41,7 +51,8 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ModelTree, RuleSet};
+use crate::node::Node;
+use crate::{LinearModel, ModelTree};
 
 /// On-disk format version written by `save`/`to_json`; bumped on breaking
 /// model-layout changes. Version 2 added the integrity header.
@@ -56,13 +67,6 @@ struct Envelope {
     format: String,
     version: u32,
     tree: ModelTree,
-}
-
-#[derive(Serialize, Deserialize)]
-struct RuleEnvelope {
-    format: String,
-    version: u32,
-    rules: RuleSet,
 }
 
 /// The version-2 integrity header: first line of the file, protecting the
@@ -101,6 +105,10 @@ pub enum PersistError {
         /// Payload length found on disk.
         found_len: usize,
     },
+    /// The file parsed but does not describe a usable tree: an attribute
+    /// index out of range, a non-finite number, leaf ids out of order, or
+    /// invalid training parameters.
+    Invalid(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -119,6 +127,7 @@ impl std::fmt::Display for PersistError {
                 f,
                 "model file torn: payload is {found_len} bytes, header records {expected_len}"
             ),
+            PersistError::Invalid(msg) => write!(f, "model structure invalid: {msg}"),
         }
     }
 }
@@ -138,13 +147,16 @@ impl From<io::Error> for PersistError {
     }
 }
 
+/// Format marker of both the integrity header and the body envelope.
+const FORMAT: &str = "mtperf-model-tree";
+
 /// Wraps a version-1 body in the version-2 integrity envelope.
-fn seal(format: &str, mut body: String) -> String {
+fn seal(mut body: String) -> String {
     if !body.ends_with('\n') {
         body.push('\n');
     }
     let header = serde_json::to_string(&IntegrityHeader {
-        format: format.into(),
+        format: FORMAT.into(),
         version: FORMAT_VERSION,
         checksum: format!(
             "fnv1a64:{:016x}",
@@ -161,16 +173,16 @@ fn seal(format: &str, mut body: String) -> String {
 /// Version-2 dumps (integrity header on the first line) have their payload
 /// length and checksum verified; version-1 dumps pass through whole. The
 /// caller parses the returned body as the version-1 envelope.
-fn open_sealed<'a>(format: &str, text: &'a str) -> Result<&'a str, PersistError> {
+fn open_sealed(text: &str) -> Result<&str, PersistError> {
     let first_line = text.lines().next().unwrap_or("");
     let Ok(header) = serde_json::from_str::<IntegrityHeader>(first_line) else {
         // No integrity header: a version-1 dump (or garbage the body parser
         // will reject with a Format error).
         return Ok(text);
     };
-    if header.format != format {
+    if header.format != FORMAT {
         return Err(PersistError::Format(format!(
-            "unexpected format marker {:?} (expected {format:?})",
+            "unexpected format marker {:?} (expected {FORMAT:?})",
             header.format
         )));
     }
@@ -204,9 +216,9 @@ fn open_sealed<'a>(format: &str, text: &'a str) -> Result<&'a str, PersistError>
     Ok(payload)
 }
 
-/// Shared body-envelope checks for trees and rule sets.
-fn check_body(format: &str, found_format: &str, version: u32) -> Result<(), PersistError> {
-    if found_format != format {
+/// Checks the body envelope's format marker and version.
+fn check_body(found_format: &str, version: u32) -> Result<(), PersistError> {
+    if found_format != FORMAT {
         return Err(PersistError::Format(format!(
             "unexpected format marker {found_format:?}"
         )));
@@ -225,12 +237,12 @@ impl ModelTree {
     /// versioned JSON envelope.
     pub fn to_json(&self) -> String {
         let body = serde_json::to_string_pretty(&Envelope {
-            format: "mtperf-model-tree".into(),
+            format: FORMAT.into(),
             version: BODY_VERSION,
             tree: self.clone(),
         })
         .expect("tree serialization cannot fail");
-        seal("mtperf-model-tree", body)
+        seal(body)
     }
 
     /// Deserializes a tree from [`ModelTree::to_json`] output (version 2) or
@@ -240,12 +252,15 @@ impl ModelTree {
     ///
     /// Returns [`PersistError::Truncated`] / [`PersistError::ChecksumMismatch`]
     /// when a version-2 dump fails integrity verification, and
-    /// [`PersistError::Format`] for non-model JSON or version mismatches.
+    /// [`PersistError::Format`] for non-model JSON or version mismatches,
+    /// and [`PersistError::Invalid`] for a tree that fails structural
+    /// validation.
     pub fn from_json(json: &str) -> Result<ModelTree, PersistError> {
-        let body = open_sealed("mtperf-model-tree", json)?;
+        let body = open_sealed(json)?;
         let env: Envelope =
             serde_json::from_str(body).map_err(|e| PersistError::Format(e.to_string()))?;
-        check_body("mtperf-model-tree", &env.format, env.version)?;
+        check_body(&env.format, env.version)?;
+        env.tree.validate()?;
         Ok(env.tree)
     }
 
@@ -276,65 +291,84 @@ impl ModelTree {
         })?;
         Self::from_json(&json)
     }
+
+    /// Checks the structure every consumer of a tree relies on: split and
+    /// term attributes index into `attr_names`, term attributes are strictly
+    /// increasing, every threshold, coefficient, intercept and mean is
+    /// finite, leaves are numbered `LM1..LMn` left to right, and the
+    /// training parameters are valid.
+    pub(crate) fn validate(&self) -> Result<(), PersistError> {
+        self.params
+            .validate()
+            .map_err(|e| PersistError::Invalid(e.to_string()))?;
+        finite("root_sd", self.root_sd)?;
+        finite("root_mean", self.root_mean)?;
+        validate_node(&self.root, self.attr_names.len(), &mut 0)
+    }
 }
 
-impl RuleSet {
-    /// Serializes the rule set as a version-2 dump (format marker
-    /// `mtperf-rule-set`), preserving the full extraction state: rule order,
-    /// conditions, per-rule models, coverage, and means. A rule set loaded
-    /// back (and compiled) predicts bit-identically to the in-memory one.
-    pub fn to_json(&self) -> String {
-        let body = serde_json::to_string_pretty(&RuleEnvelope {
-            format: "mtperf-rule-set".into(),
-            version: BODY_VERSION,
-            rules: self.clone(),
-        })
-        .expect("rule serialization cannot fail");
-        seal("mtperf-rule-set", body)
-    }
-
-    /// Deserializes a rule set from [`RuleSet::to_json`] output (version 2)
-    /// or a pre-checksum version-1 dump.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Truncated`] / [`PersistError::ChecksumMismatch`]
-    /// when a version-2 dump fails integrity verification, and
-    /// [`PersistError::Format`] for non-rule JSON or version mismatches.
-    pub fn from_json(json: &str) -> Result<RuleSet, PersistError> {
-        let body = open_sealed("mtperf-rule-set", json)?;
-        let env: RuleEnvelope =
-            serde_json::from_str(body).map_err(|e| PersistError::Format(e.to_string()))?;
-        check_body("mtperf-rule-set", &env.format, env.version)?;
-        Ok(env.rules)
-    }
-
-    /// Saves the rule set to `path` atomically (same contract as
-    /// [`ModelTree::save`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        mtperf_obs::fsio::atomic_write(path, self.to_json().as_bytes())?;
+fn finite(what: &str, v: f64) -> Result<(), PersistError> {
+    if v.is_finite() {
         Ok(())
+    } else {
+        Err(PersistError::Invalid(format!("{what} is not finite ({v})")))
     }
+}
 
-    /// Loads a rule set from a file written by [`RuleSet::save`], retrying
-    /// transient read failures like [`ModelTree::load`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on read failure and the typed corruption
-    /// errors of [`RuleSet::from_json`] on malformed content.
-    pub fn load(path: impl AsRef<Path>) -> Result<RuleSet, PersistError> {
-        let path = path.as_ref();
-        let json = mtperf_obs::fsio::with_retry("rules_load", || {
-            mtperf_detsim::fs::check(mtperf_detsim::fs::FsOp::Read, path)?;
-            fs::read_to_string(path)
-        })?;
-        Self::from_json(&json)
+fn validate_attr(what: &str, attr: usize, n_attrs: usize) -> Result<(), PersistError> {
+    if attr < n_attrs {
+        Ok(())
+    } else {
+        Err(PersistError::Invalid(format!(
+            "{what} uses attribute {attr}, but the tree has {n_attrs} attributes"
+        )))
     }
+}
+
+fn validate_model(model: &LinearModel, n_attrs: usize) -> Result<(), PersistError> {
+    finite("model intercept", model.intercept())?;
+    let mut prev = None;
+    for &(attr, coef) in model.terms() {
+        validate_attr("model term", attr, n_attrs)?;
+        if prev.is_some_and(|p| p >= attr) {
+            return Err(PersistError::Invalid(format!(
+                "model term attributes are not strictly increasing at {attr}"
+            )));
+        }
+        prev = Some(attr);
+        finite("model coefficient", coef)?;
+    }
+    Ok(())
+}
+
+/// Validates `node`'s subtree; `leaves` counts the leaves seen so far in
+/// left-to-right order.
+fn validate_node(node: &Node, n_attrs: usize, leaves: &mut usize) -> Result<(), PersistError> {
+    validate_model(node.model(), n_attrs)?;
+    finite("node mean", node.mean())?;
+    match node {
+        Node::Leaf { id, .. } => {
+            *leaves += 1;
+            if id.0 != *leaves {
+                return Err(PersistError::Invalid(format!(
+                    "leaf {id} is out of order (expected LM{leaves})"
+                )));
+            }
+        }
+        Node::Split {
+            attr,
+            threshold,
+            left,
+            right,
+            ..
+        } => {
+            validate_attr("split", *attr, n_attrs)?;
+            finite("split threshold", *threshold)?;
+            validate_node(left, n_attrs, leaves)?;
+            validate_node(right, n_attrs, leaves)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -438,19 +472,134 @@ mod tests {
         assert!(matches!(err, PersistError::Format(_)));
     }
 
-    #[test]
-    fn rule_set_roundtrip_preserves_extraction_state() {
-        let t = tree();
-        let rules = crate::RuleSet::from_tree(&t);
-        let back = crate::RuleSet::from_json(&rules.to_json()).unwrap();
-        assert_eq!(back, rules);
-        for i in 0..80 {
-            let row = [i as f64];
-            assert_eq!(back.predict(&row).to_bits(), rules.predict(&row).to_bits());
+    /// A chain of `depth` splits on `x`, each with a leaf on its left.
+    fn chain(depth: usize) -> ModelTree {
+        let leaf = |id: usize| Node::Leaf {
+            id: crate::LeafId(id),
+            model: LinearModel::constant(id as f64),
+            n: 1,
+            mean: id as f64,
+        };
+        let mut root = leaf(depth + 1);
+        for d in (1..=depth).rev() {
+            root = Node::Split {
+                attr: 0,
+                threshold: d as f64,
+                model: LinearModel::constant(0.0),
+                n: depth + 2 - d,
+                mean: 0.0,
+                left: Box::new(leaf(d)),
+                right: Box::new(root),
+            };
         }
-        // A tree envelope is not a rule envelope and vice versa.
-        let err = crate::RuleSet::from_json(&t.to_json()).unwrap_err();
-        assert!(matches!(err, PersistError::Format(_)), "{err}");
+        ModelTree {
+            root,
+            attr_names: vec!["x".into()],
+            params: M5Params::default(),
+            n_train: depth + 1,
+            root_sd: 1.0,
+            root_mean: 0.0,
+        }
+    }
+
+    #[test]
+    fn deep_chain_tree_roundtrips_through_a_file() {
+        let t = chain(200);
+        assert_eq!(t.depth(), 201);
+        let dir = std::env::temp_dir().join("mtperf-persist-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chain.json");
+        t.save(&path).unwrap();
+        let back = ModelTree::load(&path).unwrap();
+        assert_eq!(back, t);
+        assert_eq!(
+            back.predict(&[150.5]).to_bits(),
+            t.predict(&[150.5]).to_bits()
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn model(json: &str) -> LinearModel {
+        serde_json::from_str(json).unwrap()
+    }
+
+    fn first_split(t: &mut ModelTree) -> (&mut usize, &mut f64) {
+        match &mut t.root {
+            Node::Split {
+                attr, threshold, ..
+            } => (attr, threshold),
+            Node::Leaf { .. } => panic!("fixture tree has a split"),
+        }
+    }
+
+    fn first_leaf(t: &mut ModelTree) -> &mut Node {
+        let mut node = &mut t.root;
+        while let Node::Split { left, .. } = node {
+            node = left;
+        }
+        node
+    }
+
+    fn set_leaf_model(t: &mut ModelTree, m: LinearModel) {
+        if let Node::Leaf { model, .. } = first_leaf(t) {
+            *model = m;
+        }
+    }
+
+    #[test]
+    fn validation_names_each_structural_fault() {
+        type Mutation = fn(&mut ModelTree);
+        let cases: [(Mutation, &str); 9] = [
+            (|t| *first_split(t).0 = 5, "split uses attribute 5"),
+            (|t| *first_split(t).1 = f64::NAN, "split threshold"),
+            (
+                |t| set_leaf_model(t, model(r#"{"intercept":1,"terms":[[3,1.5]]}"#)),
+                "model term uses attribute 3",
+            ),
+            (
+                |t| set_leaf_model(t, model(r#"{"intercept":1,"terms":[[0,1],[0,2]]}"#)),
+                "not strictly increasing",
+            ),
+            (
+                |t| set_leaf_model(t, model(r#"{"intercept":1,"terms":[[0,1e400]]}"#)),
+                "model coefficient",
+            ),
+            (
+                |t| {
+                    if let Node::Leaf { id, .. } = first_leaf(t) {
+                        *id = crate::LeafId(7);
+                    }
+                },
+                "leaf LM7 is out of order",
+            ),
+            (
+                |t| {
+                    if let Node::Leaf { mean, .. } = first_leaf(t) {
+                        *mean = f64::INFINITY;
+                    }
+                },
+                "node mean",
+            ),
+            (|t| t.root_sd = f64::NAN, "root_sd"),
+            (
+                |t| t.params = M5Params::default().with_sd_fraction(2.0),
+                "sd_fraction",
+            ),
+        ];
+        tree().validate().unwrap();
+        for (mutate, want) in cases {
+            let mut t = tree();
+            mutate(&mut t);
+            match t.validate() {
+                Err(PersistError::Invalid(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("expected Invalid({want}), got {other:?}"),
+            }
+        }
+        // The same check runs on every load.
+        let mut t = tree();
+        *first_split(&mut t).0 = 5;
+        let err = ModelTree::from_json(&t.to_json()).unwrap_err();
+        assert!(err.to_string().contains("model structure invalid"), "{err}");
     }
 
     #[test]

@@ -27,12 +27,12 @@ use crate::{Dataset, M5Params, MtreeError};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelTree {
-    root: Node,
-    attr_names: Vec<String>,
-    params: M5Params,
-    n_train: usize,
-    root_sd: f64,
-    root_mean: f64,
+    pub(crate) root: Node,
+    pub(crate) attr_names: Vec<String>,
+    pub(crate) params: M5Params,
+    pub(crate) n_train: usize,
+    pub(crate) root_sd: f64,
+    pub(crate) root_mean: f64,
 }
 
 impl ModelTree {

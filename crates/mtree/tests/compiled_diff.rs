@@ -8,7 +8,7 @@
 //! ulp, is a bug in the compiled flattening.
 
 use mtperf_linalg::Parallelism;
-use mtperf_mtree::{Dataset, M5Params, ModelTree, RuleSet};
+use mtperf_mtree::{Dataset, M5Params, ModelTree};
 use proptest::prelude::*;
 
 /// Strategy: a dataset over three attributes whose target is a noisy
@@ -111,25 +111,6 @@ proptest! {
         let batch = compiled.predict_batch_with(&m, Parallelism::Fixed(3));
         for (i, b) in batch.iter().enumerate() {
             prop_assert_eq!(b.to_bits(), tree.predict(&d.row(i)).to_bits());
-        }
-    }
-
-    /// Compiled rules agree bit-for-bit with the interpreted rule set (and
-    /// with the unsmoothed tree, whose space the rules partition).
-    #[test]
-    fn compiled_rules_are_bit_identical(d in dataset(80)) {
-        let params = M5Params::default().with_min_instances(6).with_smoothing(false);
-        let tree = ModelTree::fit(&d, &params).unwrap();
-        let rules = RuleSet::from_tree(&tree);
-        let compiled = rules.compile();
-        let m = d.to_matrix();
-        for par in PAR_SETTINGS {
-            let batch = compiled.predict_batch_with(&m, par);
-            for (i, b) in batch.iter().enumerate() {
-                let row = d.row(i);
-                prop_assert_eq!(b.to_bits(), rules.predict(&row).to_bits());
-                prop_assert_eq!(b.to_bits(), tree.predict_raw(&row).to_bits());
-            }
         }
     }
 

@@ -1,10 +1,9 @@
 //! Persistence round-trip properties: a model saved to JSON and loaded back
 //! must predict bit-identically to the in-memory one — interpreted and
-//! compiled — for every smoothing configuration, and rule-extraction state
-//! must survive its own envelope.
+//! compiled — for every smoothing configuration.
 
 use mtperf_linalg::Parallelism;
-use mtperf_mtree::{Dataset, M5Params, ModelTree, RuleSet};
+use mtperf_mtree::{Dataset, M5Params, ModelTree};
 use proptest::prelude::*;
 
 /// Strategy: a two-attribute dataset with a split-friendly piecewise target.
@@ -59,33 +58,5 @@ proptest! {
             prop_assert_eq!(loaded.predict(&row).to_bits(), tree.predict(&row).to_bits());
             prop_assert_eq!(b.to_bits(), tree.predict(&row).to_bits());
         }
-    }
-
-    /// Rule-extraction state (order, conditions, models, coverage) survives
-    /// its envelope: a loaded rule set equals the original and its compiled
-    /// form predicts bit-identically.
-    #[test]
-    fn rule_set_roundtrip_compiles_bit_identically(d in dataset(70)) {
-        let params = M5Params::default().with_min_instances(6).with_smoothing(false);
-        let tree = ModelTree::fit(&d, &params).unwrap();
-        let rules = RuleSet::from_tree(&tree);
-        let loaded = RuleSet::from_json(&rules.to_json()).unwrap();
-        prop_assert_eq!(&loaded, &rules);
-        let compiled = loaded.compile();
-        let batch = compiled.predict_batch_with(&d.to_matrix(), Parallelism::Off);
-        for (i, b) in batch.iter().enumerate() {
-            let row = d.row(i);
-            prop_assert_eq!(b.to_bits(), rules.predict(&row).to_bits());
-        }
-    }
-
-    /// The two envelopes are mutually exclusive: tree JSON does not load as
-    /// rules and rule JSON does not load as a tree.
-    #[test]
-    fn envelopes_do_not_cross_load(d in dataset(50)) {
-        let tree = ModelTree::fit(&d, &M5Params::default().with_min_instances(6)).unwrap();
-        let rules = RuleSet::from_tree(&tree);
-        prop_assert!(RuleSet::from_json(&tree.to_json()).is_err());
-        prop_assert!(ModelTree::from_json(&rules.to_json()).is_err());
     }
 }
